@@ -4,7 +4,7 @@ Writes ``BENCH_serve.json`` with six sections:
 
 * **meta** — machine facts that gate interpretation: ``cpu_count`` above
   all.  Shard scaling is a *parallelism* win; on a single-core box the
-  parallel backends collapse to time-sliced serial work and the expected
+  ``pool`` backend collapses to time-sliced serial work and the expected
   4-shard speedup is ~1x (the scatter-gather overhead is the interesting
   number there).  CI runners and production boxes have the cores; the
   JSON records what this box could actually show.
@@ -100,7 +100,7 @@ def bench_shard_scaling(
         search = ShardedSearch(
             objects, shards=shards, backend=backend, workers=workers
         )
-        # Warm-up: fork the pool / build per-query caches outside the clock.
+        # Warm-up: start the pool / build per-query caches outside the clock.
         search.run(queries[0], OPERATOR, k=k)
         latencies: list[float] = []
         equal = True
@@ -118,7 +118,7 @@ def bench_shard_scaling(
             base_qps = qps
         rows.append({
             "shards": shards,
-            "backend": search.backend if backend == "auto" else backend,
+            "backend": backend,
             "qps": qps,
             "p50_ms": _percentile(latencies, 50),
             "p99_ms": _percentile(latencies, 99),
@@ -591,9 +591,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--k", type=int, default=1)
     parser.add_argument("--queries", type=int, default=None)
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "thread", "process",
-                                 "pool"])
+    parser.add_argument("--backend", default="serial",
+                        choices=["serial", "pool"])
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for --backend pool")
     parser.add_argument("--open-loop-qps", type=float, default=None,

@@ -94,8 +94,7 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--node-id", metavar="ID",
                    help="fleet identity surfaced in /healthz and /status "
                    "(node servers behind a router)")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "serial", "thread", "process", "pool"])
+    p.add_argument("--backend", default="serial", choices=["serial", "pool"])
     p.add_argument("--workers", type=int, metavar="N",
                    help="worker processes for --backend pool "
                    "(default: min(shards, cpu count), at least 2)")
@@ -223,8 +222,6 @@ def _add_replay(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--partitioner", default="round-robin",
                    choices=["round-robin", "centroid", "hash"])
-    p.add_argument("--backend", default="serial",
-                   choices=["auto", "serial", "thread", "process"])
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
@@ -460,10 +457,20 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if degradation is not None:
         print(degradation.summary())
     if args.breakdown:
-        from repro.experiments.report import trace_breakdown_table
+        from repro.obs import stage_rows, untracked_counters
 
+        stages = stage_rows([tracer.spans()])
+        bag = ctx.counters.snapshot()
         print()
-        print(trace_breakdown_table(tracer.spans()))
+        print("Span breakdown (exclusive per stage):")
+        _print_stages(stages, untracked_counters(bag, stages))
+        checks = bag.get("dominance_checks", 0)
+        if checks:
+            comparisons = bag.get("instance_comparisons", 0)
+            print(
+                f"  {comparisons / checks:.2f} instance comparison(s) per "
+                f"dominance check ({comparisons} / {checks})"
+            )
         if degradation is not None:
             import json
 
@@ -552,6 +559,35 @@ def _search_explain(args, objects, query, budget, registry) -> int:
     return 3 if result.degradation is not None else 0
 
 
+def _counter_list(counters: dict) -> str:
+    return ", ".join(
+        f"{key}={value}" for key, value in sorted(counters.items())
+    ) or "-"
+
+
+def _print_stages(
+    stages: list, untracked: dict, *, refine: dict | None = None
+) -> None:
+    """Print :func:`repro.obs.stage_rows` rows, refine, and the residual."""
+    if stages:
+        width = max(len(row["stage"]) for row in stages)
+        print(f"  {'stage':<{width}}  count  excl ms  incl ms  counters")
+        for row in stages:
+            print(
+                f"  {row['stage']:<{width}}  {row['count']:5d}  "
+                f"{row.get('exclusive_ms', 0.0):7.2f}  "
+                f"{row.get('total_ms', 0.0):7.2f}  "
+                f"{_counter_list(row.get('counters', {}))}"
+            )
+    if refine is not None:
+        print(
+            f"  refine: {refine.get('checks', 0)} check(s); "
+            f"{_counter_list(refine.get('counters') or {})}"
+        )
+    if untracked:
+        print(f"  untracked: {_counter_list(untracked)}")
+
+
 def _print_explain(explain: dict) -> None:
     """Render an explain body (node- or router-shaped) as text."""
     print(
@@ -561,32 +597,11 @@ def _print_explain(explain: dict) -> None:
         f"{explain.get('elapsed_ms', 0.0):.2f} ms"
         + (" (hedged)" if explain.get("hedged") else "")
     )
-    stages = explain.get("stages") or []
-    if stages:
-        width = max(len(row["stage"]) for row in stages)
-        print(f"  {'stage':<{width}}  count  excl ms  incl ms  counters")
-        for row in stages:
-            counters = ", ".join(
-                f"{key}={value}"
-                for key, value in sorted(row.get("counters", {}).items())
-            ) or "-"
-            print(
-                f"  {row['stage']:<{width}}  {row['count']:5d}  "
-                f"{row.get('exclusive_ms', 0.0):7.2f}  "
-                f"{row.get('total_ms', 0.0):7.2f}  {counters}"
-            )
-    refine = explain.get("refine") or {}
-    if refine:
-        counters = ", ".join(
-            f"{key}={value}"
-            for key, value in sorted((refine.get("counters") or {}).items())
-        ) or "-"
-        print(f"  refine: {refine.get('checks', 0)} check(s); {counters}")
-    untracked = explain.get("untracked") or {}
-    if untracked:
-        print("  untracked: " + ", ".join(
-            f"{key}={value}" for key, value in sorted(untracked.items())
-        ))
+    _print_stages(
+        explain.get("stages") or [],
+        explain.get("untracked") or {},
+        refine=explain.get("refine") or None,
+    )
     nodes = explain.get("nodes") or {}
     for nid in sorted(nodes):
         entry = nodes[nid]
@@ -866,7 +881,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         objects,
         shards=args.shards,
         partitioner=args.partitioner,
-        backend=args.backend,
     )
     if args.format == "json":
         print(_json.dumps(report.to_dict(), indent=2))

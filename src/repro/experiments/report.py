@@ -67,53 +67,6 @@ def kernel_summary(counters) -> dict:
     }
 
 
-def trace_breakdown(spans) -> list[dict]:
-    """Aggregate spans into per-(name, operator) rows — Figure 16 style.
-
-    Appendix C compares filter configurations by the average number of
-    instance comparisons per dominance check; with tracing enabled the same
-    breakdown falls out of the span records, which carry the counter deltas
-    of the interval they cover.
-
-    Args:
-        spans: iterable of :class:`repro.obs.tracer.SpanRecord`.
-
-    Returns:
-        One row per (span name, operator label) with call count, total and
-        mean wall-clock milliseconds, summed instance comparisons and
-        dominance checks, and the comparisons-per-check ratio.  Rows are
-        ordered by total time, descending.
-    """
-    groups: dict[tuple[str, str], dict] = {}
-    for span in spans:
-        op = str(span.labels.get("op", "-"))
-        agg = groups.setdefault(
-            (span.name, op),
-            {"span": span.name, "operator": op, "calls": 0, "total_ms": 0.0,
-             "comparisons": 0, "dominance_checks": 0},
-        )
-        agg["calls"] += 1
-        agg["total_ms"] += span.duration * 1e3
-        agg["comparisons"] += span.counter_deltas.get("instance_comparisons", 0)
-        agg["dominance_checks"] += span.counter_deltas.get("dominance_checks", 0)
-    rows = []
-    for agg in sorted(groups.values(), key=lambda a: -a["total_ms"]):
-        checks = agg["dominance_checks"]
-        rows.append(
-            {
-                **agg,
-                "mean_ms": agg["total_ms"] / agg["calls"],
-                "cmp_per_check": agg["comparisons"] / checks if checks else 0.0,
-            }
-        )
-    return rows
-
-
-def trace_breakdown_table(spans, title: str = "Span breakdown") -> str:
-    """Render :func:`trace_breakdown` rows as an aligned ASCII table."""
-    return format_table(trace_breakdown(spans), title)
-
-
 def kernel_summary_table(stats: dict) -> str:
     """Render per-operator kernel summaries from workload stats.
 

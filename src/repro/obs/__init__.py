@@ -7,7 +7,9 @@ inside a single query instead of only as end-of-run aggregates:
 
 * :mod:`repro.obs.tracer` — nested spans (``search -> rtree-descent ->
   entry-prune -> dominance-check -> maxflow``) carrying wall time, counter
-  deltas, and operator/object labels, recorded into a bounded ring buffer;
+  deltas, and operator/object labels, recorded into a bounded ring buffer,
+  and :func:`~repro.obs.tracer.stage_rows`, which turns span buffers into
+  the Figure-16 per-stage breakdown with exclusive costs;
 * :mod:`repro.obs.metrics` — a registry of named counters / gauges /
   histograms (per-operator latency, kernel batch sizes, prune-rule hits);
 * :mod:`repro.obs.export` — Chrome-trace JSON (``chrome://tracing`` /
@@ -18,7 +20,7 @@ inside a single query instead of only as end-of-run aggregates:
   :class:`~repro.obs.request.RequestContext` (request id, trace id,
   parent/child span ids, sampling decision) the serving layer propagates
   from the HTTP handler through scatter-gather into every shard, across
-  thread and fork boundaries;
+  the pool backend's process boundary;
 * :mod:`repro.obs.log` — structured JSON logging with automatic
   request-id correlation on every event;
 * :mod:`repro.obs.profile` — a zero-dependency continuous sampling
@@ -67,7 +69,14 @@ from repro.obs.request import (
     context_for_thread,
     current,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, SpanRecord, Tracer
+from repro.obs.tracer import (
+    NULL_TRACER,
+    NullTracer,
+    SpanRecord,
+    Tracer,
+    stage_rows,
+    untracked_counters,
+)
 
 __all__ = [
     "BurnRateMonitor",
@@ -95,6 +104,8 @@ __all__ = [
     "query_metrics_from_counters",
     "set_logger",
     "spans_to_jsonl",
+    "stage_rows",
+    "untracked_counters",
     "update_slo_gauges",
     "write_metrics",
     "write_trace",

@@ -70,7 +70,7 @@ def merged_chrome_trace(
     carries the request's ``trace_id`` / ``request_id`` in ``args``, so the
     merged document is self-describing even after it leaves the server.
     All tracers of one request share a ``trace_epoch``, so the rows line up
-    on a single timeline across threads and forked workers.
+    on a single timeline across worker processes.
     """
     correlate: dict = {}
     if trace_id is not None:

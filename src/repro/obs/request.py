@@ -1,10 +1,10 @@
 """Request-scoped observability context for the serving layer.
 
 A :class:`RequestContext` ties everything one served request produces —
-spans, log lines, the audit record, shard work on other threads or forked
-workers — back to a single ``request_id`` / ``trace_id`` pair.  It lives in
-a :data:`contextvars.ContextVar`, so any code on the request's thread (or a
-thread/process the serving layer explicitly re-binds) can reach it without
+spans, log lines, the audit record, shard work in pool worker processes —
+back to a single ``request_id`` / ``trace_id`` pair.  It lives in a
+:data:`contextvars.ContextVar`, so any code on the request's thread (or a
+worker process the serving layer explicitly re-binds) can reach it without
 parameter plumbing: the structured logger stamps ``request_id`` on every
 event automatically, and the sharded search attaches per-shard span buffers
 for reassembly into one merged Chrome trace.
@@ -13,21 +13,14 @@ Propagation model (DESIGN.md §14):
 
 * **serial** backend — the cascade runs on the request thread; shard spans
   land directly in the request's root tracer.
-* **thread** backend — each shard worker gets a :meth:`RequestContext.child`
-  (fresh span id, parent = the request's span id), binds it for the duration
-  of the shard search, and hands its span buffer back via
-  :meth:`add_shard_spans`.
-* **process** (fork) backend — the child context crosses the process
-  boundary as the plain-dict :meth:`to_wire` form; the worker rebuilds it
-  with :meth:`from_wire`, records spans against the *parent's* trace clock
-  (``trace_epoch`` is ``time.perf_counter`` based, and ``CLOCK_MONOTONIC``
-  is system-wide on the fork platforms we support), and returns span dicts
-  for reassembly.
-* **pool** (shared-memory) backend — same wire contract as fork: the child
-  context rides in the task tuple, the persistent worker binds it around
-  the shard search, and span dicts come back in the result tuple.
-  :meth:`add_shard_spans` accepts the dict form directly, so both
-  process-crossing backends reassemble through one path.
+* **pool** (shared-memory) backend — each shard task carries a
+  :meth:`RequestContext.child` (fresh span id, parent = the request's span
+  id) in the plain-dict :meth:`to_wire` form.  The persistent worker
+  rebuilds it with :meth:`from_wire`, binds it around the shard search,
+  records spans against the *parent's* trace clock (``trace_epoch`` is
+  ``time.perf_counter`` based, and ``CLOCK_MONOTONIC`` is system-wide on
+  the platforms we support), and returns span dicts in the result tuple
+  for :meth:`add_shard_spans`.
 
 Sampling is decided once per request at admission (:class:`Sampler`), so a
 request is either traced end to end — handler, scatter, every shard — or
@@ -89,12 +82,12 @@ class RequestContext:
         shard: the shard a child context is scoped to (None at the root).
         trace_epoch: ``time.perf_counter()`` base every tracer of this
             request measures against, so shard spans line up on one
-            timeline even across fork.
+            timeline even across worker processes.
         started: wall-clock request start (``time.time()``).
         tracer: the root span recorder (local only — never crosses the
             wire; children build their own against ``trace_epoch``).
         shard_spans: ``(shard, [SpanRecord, ...])`` buffers handed back by
-            parallel-backend shard workers (root context only).
+            pool-backend shard workers (root context only).
     """
 
     request_id: str = field(default_factory=new_request_id)
@@ -140,7 +133,7 @@ class RequestContext:
         """Shard-scoped child: same request/trace ids, fresh span id.
 
         The child's ``parent_span_id`` is this context's ``span_id`` — the
-        parent/child edge that survives thread hops and fork boundaries.
+        parent/child edge that survives the pool's process boundary.
         """
         return RequestContext(
             request_id=self.request_id,
@@ -157,7 +150,7 @@ class RequestContext:
     # ------------------------------ wire form --------------------------- #
 
     def to_wire(self) -> dict:
-        """Plain-dict form for crossing a process boundary (fork tasks)."""
+        """Plain-dict form for crossing a process boundary (pool tasks)."""
         return {
             "request_id": self.request_id,
             "trace_id": self.trace_id,
@@ -190,10 +183,9 @@ class RequestContext:
     def add_shard_spans(self, shard: int, spans: list) -> None:
         """Attach one shard's completed span buffer (root context only).
 
-        Accepts :class:`~repro.obs.tracer.SpanRecord` objects (thread
-        workers) or their ``to_dict`` form (fork/pool workers, whose spans
-        cross a process boundary); dicts are normalised here so every
-        backend reassembles identically.
+        Accepts :class:`~repro.obs.tracer.SpanRecord` objects or their
+        ``to_dict`` form (pool workers, whose spans cross a process
+        boundary); dicts are normalised here.
         """
         if spans and isinstance(spans[0], dict):
             from repro.obs.tracer import SpanRecord

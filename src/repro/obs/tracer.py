@@ -22,6 +22,11 @@ Span tree for one traced query::
         ├── hull-extremes       (F-SD per-vertex comparison)
         ├── level-flow          (P-SD coarse G-/G+ networks)
         └── maxflow             (P-SD instance network)
+
+:func:`stage_rows` turns span buffers into per-stage rows with
+*exclusive* costs, and :func:`untracked_counters` is the residual that
+reconciles those rows with the query's counter bag — the one Figure-16
+aggregator behind ``repro search --breakdown`` and per-query explain.
 """
 
 from __future__ import annotations
@@ -29,9 +34,16 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextvars import ContextVar
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-__all__ = ["NULL_TRACER", "NullTracer", "SpanRecord", "Tracer"]
+__all__ = [
+    "NULL_TRACER",
+    "NullTracer",
+    "SpanRecord",
+    "Tracer",
+    "stage_rows",
+    "untracked_counters",
+]
 
 
 class SpanRecord:
@@ -90,9 +102,9 @@ class SpanRecord:
     def from_dict(cls, data: dict[str, Any]) -> "SpanRecord":
         """Rebuild a record from :meth:`to_dict` output.
 
-        Used by the fork-process serve backend: shard workers return their
-        span buffers as plain dicts, and the parent reassembles them into
-        the request's merged trace.
+        Used by the ``pool`` serve backend: shard workers return their span
+        buffers as plain dicts, and the parent reassembles them into the
+        request's merged trace.
         """
         return cls(
             data["name"],
@@ -300,3 +312,96 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 """Shared no-op tracer — the default on every query context."""
+
+
+# --------------------------------------------------------------------- #
+# Stage attribution
+# --------------------------------------------------------------------- #
+
+
+def _add(into: dict[str, int], deltas: Mapping[str, int]) -> None:
+    for key, value in deltas.items():
+        if value:
+            into[key] = into.get(key, 0) + value
+
+
+def _nonzero(deltas: Mapping[str, int]) -> dict[str, int]:
+    return {k: v for k, v in deltas.items() if v}
+
+
+def _stage_row(name: str) -> dict:
+    """An empty :func:`stage_rows` row (also the router's merge target)."""
+    return {
+        "stage": name,
+        "count": 0,
+        "total_ms": 0.0,
+        "exclusive_ms": 0.0,
+        "counters": {},
+    }
+
+
+def stage_rows(span_buffers: Iterable[Sequence[SpanRecord]]) -> list[dict]:
+    """Aggregate span buffers into per-stage rows with exclusive costs.
+
+    Each buffer must be in completion (postorder) order — the native
+    order of :meth:`Tracer.spans` and of the shard buffers reassembled by
+    ``RequestContext.add_shard_spans``.  A span's recorded counter deltas
+    are inclusive of its children; the per-depth pending stack subtracts
+    the children's share so every count lands in exactly one stage.
+    Spans recorded without counters (``shard-search`` and the server's
+    ``query`` envelope) charge nothing themselves and pass their
+    children's inclusive totals upward.
+
+    Returns one row per span name, sorted by exclusive time descending:
+    ``{stage, count, total_ms, exclusive_ms, counters}``.
+    """
+    rows: dict[str, dict] = {}
+    for buffer in span_buffers:
+        # depth -> [accumulated child inclusive deltas, child seconds]
+        pending: dict[int, tuple[dict[str, int], float]] = {}
+        for span in buffer:
+            depth = span.depth
+            child_deltas, child_s = pending.pop(depth + 1, ({}, 0.0))
+            own = dict(span.counter_deltas or {})
+            if own:
+                exclusive = {
+                    k: v - child_deltas.get(k, 0) for k, v in own.items()
+                }
+                inclusive = own
+            else:
+                exclusive = {}
+                inclusive = child_deltas
+            acc_deltas, acc_s = pending.get(depth, ({}, 0.0))
+            _add(acc_deltas, inclusive)
+            pending[depth] = (acc_deltas, acc_s + span.duration)
+            row = rows.setdefault(span.name, _stage_row(span.name))
+            row["count"] += 1
+            row["total_ms"] += span.duration * 1000.0
+            row["exclusive_ms"] += max(0.0, span.duration - child_s) * 1000.0
+            _add(row["counters"], exclusive)
+    out = sorted(rows.values(), key=lambda r: -r["exclusive_ms"])
+    for row in out:
+        row["counters"] = _nonzero(row["counters"])
+    return out
+
+
+def untracked_counters(
+    bag: Mapping[str, int],
+    stages: Iterable[dict],
+    *extra: Mapping[str, int],
+) -> dict[str, int]:
+    """The counter-bag residual no stage row (or ``extra`` delta) claims.
+
+    With it the identity ``sum(stage counters) + sum(extra) + untracked
+    == bag`` holds field for field.  The residual is reported, never
+    hidden: a non-zero entry means an uninstrumented code path, which is
+    itself a finding.
+    """
+    tracked: dict[str, int] = {}
+    for row in stages:
+        _add(tracked, row["counters"])
+    for deltas in extra:
+        _add(tracked, deltas)
+    return _nonzero(
+        {key: bag.get(key, 0) - tracked.get(key, 0) for key in bag}
+    )

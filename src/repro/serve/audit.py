@@ -288,7 +288,6 @@ def replay_audit(
     *,
     shards: int = 1,
     partitioner: str = "round-robin",
-    backend: str = "serial",
     global_fanout: int = 16,
     kernels: bool = True,
 ) -> ReplayReport:
@@ -308,7 +307,6 @@ def replay_audit(
         list(objects),
         shards=shards,
         partitioner=partitioner,
-        backend=backend,
         global_fanout=global_fanout,
         compact_threshold=1.0,
     )

@@ -368,7 +368,7 @@ class DurableDatasetManager(DatasetManager):
         defer_recovery: bool = False,
         shards: int = 1,
         partitioner: str = "round-robin",
-        backend: str = "auto",
+        backend: str = "serial",
         global_fanout: int = 16,
         on_invalid: str = "strict",
         compact_threshold: float = 0.3,

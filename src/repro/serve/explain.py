@@ -9,14 +9,12 @@ span/counter machinery the serving layer already runs:
 * every traced span records the **inclusive** counter deltas of its
   subtree (:class:`repro.obs.tracer._ActiveSpan` snapshots the context's
   counter bag around the span);
-* spans complete in postorder per tracer buffer, so a single pass with a
-  per-depth pending stack converts inclusive deltas to **exclusive**
-  ones — each stage is charged only for work done in its own frames;
-* summing exclusive stage counters, the refine-phase delta, and an
-  ``untracked`` residual reconciles *exactly* with the query's
-  :class:`repro.core.counters.Counters` bag.  The residual is reported,
-  never hidden: a large ``untracked`` row means an uninstrumented code
-  path, which is itself a finding.
+* :func:`repro.obs.tracer.stage_rows` converts them to **exclusive**
+  per-stage costs — each stage is charged only for work done in its own
+  frames;
+* summing exclusive stage counters, the refine-phase delta, and the
+  :func:`repro.obs.tracer.untracked_counters` residual reconciles
+  *exactly* with the query's :class:`repro.core.counters.Counters` bag.
 
 An explain request is forcibly sampled (tracing end to end, router hop
 included via ``X-Sampled``), so the breakdown covers every shard on
@@ -26,73 +24,17 @@ with per-node timings and the hedge outcome.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-__all__ = ["build_explain", "merge_explains", "stage_rows"]
+from repro.obs.tracer import (
+    _add,
+    _nonzero,
+    _stage_row,
+    stage_rows,
+    untracked_counters,
+)
 
-
-def _add(into: dict[str, int], deltas: Mapping[str, int]) -> None:
-    for key, value in deltas.items():
-        if value:
-            into[key] = into.get(key, 0) + value
-
-
-def _nonzero(deltas: Mapping[str, int]) -> dict[str, int]:
-    return {k: v for k, v in deltas.items() if v}
-
-
-def stage_rows(span_buffers: Iterable[Sequence[Any]]) -> list[dict]:
-    """Aggregate span buffers into per-stage rows with exclusive costs.
-
-    Each buffer must be in completion (postorder) order — the native
-    order of :meth:`repro.obs.tracer.Tracer.spans` and of the shard
-    buffers reassembled by ``RequestContext.add_shard_spans``.  A span's
-    recorded counter deltas are inclusive of its children; the per-depth
-    pending stack subtracts the children's share so every count lands in
-    exactly one stage.  Spans recorded without counters (``shard-search``
-    and the server's ``query`` envelope) charge nothing themselves and
-    pass their children's inclusive totals upward.
-
-    Returns one row per span name, sorted by exclusive time descending:
-    ``{stage, count, total_ms, exclusive_ms, counters}``.
-    """
-    rows: dict[str, dict] = {}
-    for buffer in span_buffers:
-        # depth -> [accumulated child inclusive deltas, child seconds]
-        pending: dict[int, tuple[dict[str, int], float]] = {}
-        for span in buffer:
-            depth = span.depth
-            child_deltas, child_s = pending.pop(depth + 1, ({}, 0.0))
-            own = dict(span.counter_deltas or {})
-            if own:
-                exclusive = {
-                    k: v - child_deltas.get(k, 0) for k, v in own.items()
-                }
-                inclusive = own
-            else:
-                exclusive = {}
-                inclusive = child_deltas
-            acc_deltas, acc_s = pending.get(depth, ({}, 0.0))
-            _add(acc_deltas, inclusive)
-            pending[depth] = (acc_deltas, acc_s + span.duration)
-            row = rows.setdefault(
-                span.name,
-                {
-                    "stage": span.name,
-                    "count": 0,
-                    "total_ms": 0.0,
-                    "exclusive_ms": 0.0,
-                    "counters": {},
-                },
-            )
-            row["count"] += 1
-            row["total_ms"] += span.duration * 1000.0
-            row["exclusive_ms"] += max(0.0, span.duration - child_s) * 1000.0
-            _add(row["counters"], exclusive)
-    out = sorted(rows.values(), key=lambda r: -r["exclusive_ms"])
-    for row in out:
-        row["counters"] = _nonzero(row["counters"])
-    return out
+__all__ = ["build_explain", "merge_explains"]
 
 
 def build_explain(
@@ -129,13 +71,7 @@ def build_explain(
         else result.counters.snapshot()
     )
     refine_counters = _nonzero(getattr(result, "refine_counters", {}) or {})
-    tracked: dict[str, int] = {}
-    for row in stages:
-        _add(tracked, row["counters"])
-    _add(tracked, refine_counters)
-    untracked = _nonzero(
-        {key: bag.get(key, 0) - tracked.get(key, 0) for key in bag}
-    )
+    untracked = untracked_counters(bag, stages, refine_counters)
     degradation = getattr(result, "degradation", None)
     return {
         "operator": operator,
@@ -205,14 +141,7 @@ def merge_explains(
             node_refine_checks += refine.get("checks") or 0
             for row in explain.get("stages") or ():
                 merged = stages.setdefault(
-                    row["stage"],
-                    {
-                        "stage": row["stage"],
-                        "count": 0,
-                        "total_ms": 0.0,
-                        "exclusive_ms": 0.0,
-                        "counters": {},
-                    },
+                    row["stage"], _stage_row(row["stage"])
                 )
                 merged["count"] += row.get("count", 0)
                 merged["total_ms"] += row.get("total_ms", 0.0)
@@ -221,14 +150,7 @@ def merge_explains(
             node_refine = refine.get("counters") or {}
             if node_refine:
                 merged = stages.setdefault(
-                    "node-refine",
-                    {
-                        "stage": "node-refine",
-                        "count": 0,
-                        "total_ms": 0.0,
-                        "exclusive_ms": 0.0,
-                        "counters": {},
-                    },
+                    "node-refine", _stage_row("node-refine")
                 )
                 merged["count"] += 1
                 _add(merged["counters"], node_refine)

@@ -312,7 +312,7 @@ class ServeApp:
         """Merge a sampled request's span buffers into one Chrome trace.
 
         Root (handler + serial-cascade) spans come from the request's own
-        tracer; thread/fork shard buffers were attached by the scatter via
+        tracer; pool-worker shard buffers were attached by the scatter via
         :meth:`RequestContext.add_shard_spans`.  Written to ``trace_dir``
         (when set) and kept on :attr:`last_trace`.
         """

@@ -20,11 +20,6 @@ Backends:
   shard search is *seeded* with the survivors found so far, so earlier
   survivors prune later shards and per-survivor counts already cover all
   earlier shards.  The refiner then only checks later-shard survivors.
-* ``thread`` — independent shard searches on a thread pool (helps when the
-  per-shard work releases the GIL inside NumPy kernels).
-* ``process`` — fork-based ``multiprocessing`` pool; workers inherit the
-  shard indexes by fork, results travel back as indices.  The pool is
-  invalidated on any mutation and lazily re-forked.
 * ``pool`` — persistent spawn-safe worker-process pool over shared-memory
   shard snapshots (:mod:`repro.serve.shm`).  Workers attach zero-copy
   NumPy views of instance matrices, probability vectors and flattened
@@ -33,8 +28,6 @@ Backends:
   ``(query, operator params, epoch, request wire form)``.  A dead worker
   surfaces as :class:`ShardBackendError` (503 at the HTTP layer), never a
   hang.
-* ``auto`` — ``serial`` on one core or one shard, else ``process`` where
-  ``fork`` exists, else ``thread``.
 
 The refine filter ``min(U_Q) <= min(V_Q) + tol`` is sound for all five
 operators: dominance of ``v`` by ``u`` requires ``u`` to be at least as
@@ -48,7 +41,6 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -62,8 +54,7 @@ from repro.core.operators import OperatorKind, _BaseOperator, make_operator
 from repro.objects.uncertain import UncertainObject
 from repro.obs.log import log_event
 from repro.obs.metrics import query_metrics_from_counters
-from repro.obs.request import RequestContext, bind
-from repro.obs.tracer import SpanRecord, Tracer
+from repro.obs.request import RequestContext
 from repro.resilience.budget import Budget, BudgetExhausted, DegradationReport
 from repro.serve.placement import shard_of
 from repro.serve.shm import (
@@ -88,7 +79,7 @@ __all__ = [
 
 
 class ShardBackendError(RuntimeError):
-    """A parallel backend failed mid-query (e.g. a pool worker died).
+    """The pool backend failed mid-query (e.g. a worker died).
 
     The request cannot be answered by this backend right now, but the
     service itself is healthy — the serving layer maps this to HTTP 503 so
@@ -100,7 +91,7 @@ class ShardBackendError(RuntimeError):
 #: admits a few extra candidate pairs, never drops one).
 _REFINE_TOL = 1e-7
 
-BACKENDS: tuple[str, ...] = ("auto", "serial", "thread", "process", "pool")
+BACKENDS: tuple[str, ...] = ("serial", "pool")
 
 FANOUT_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
 """Histogram buckets for the per-query shard fan-out metric."""
@@ -254,59 +245,8 @@ class ShardedResult:
 
 
 # --------------------------------------------------------------------- #
-# Fork-pool worker plumbing
+# Pool result decoding
 # --------------------------------------------------------------------- #
-
-#: Shard searches inherited by fork; set immediately before the pool is
-#: created so workers snapshot exactly the current dataset version.
-_FORK_SEARCHES: list[NNCSearch] | None = None
-
-
-def _fork_run_one(task: tuple) -> tuple:
-    """Run one shard search in a pool worker; results travel as indices.
-
-    ``wire`` (when present) is a sampled request's child context in
-    :meth:`repro.obs.request.RequestContext.to_wire` form; the worker
-    rebuilds it, records shard spans against the parent's ``trace_epoch``
-    (``perf_counter`` / ``CLOCK_MONOTONIC`` is system-wide across fork),
-    and ships the span buffer back as plain dicts for reassembly.
-    """
-    shard_idx, query, operator, k, metric, kernels, limits, wire = task
-    search = _FORK_SEARCHES[shard_idx]
-    budget = Budget(**limits) if limits is not None else None
-    spans: list[dict] | None = None
-    if wire is not None:
-        child = RequestContext.from_wire(wire)
-        tracer = Tracer(epoch=child.trace_epoch)
-        ctx = QueryContext(
-            query, metric=metric, kernels=kernels, budget=budget, tracer=tracer
-        )
-        with bind(child):
-            with tracer.span(
-                "shard-search",
-                shard=shard_idx,
-                span_id=child.span_id,
-                parent_span_id=child.parent_span_id,
-            ):
-                result = search.run(query, operator, k=k, ctx=ctx)
-        spans = [s.to_dict() for s in tracer.spans()]
-    else:
-        ctx = QueryContext(query, metric=metric, kernels=kernels, budget=budget)
-        result = search.run(query, operator, k=k, ctx=ctx)
-    index_of = {id(o): i for i, o in enumerate(search.objects)}
-    idxs = [index_of[id(c)] for c in result.candidates]
-    report = (
-        result.degradation.to_dict() if result.degradation is not None else None
-    )
-    return (
-        idxs,
-        list(result.dominator_counts),
-        result.elapsed,
-        report,
-        result.counters.snapshot(),
-        spans,
-    )
-
 
 def _counters_from_snapshot(snap: dict) -> Counters:
     c = Counters()
@@ -346,7 +286,7 @@ class ShardedSearch:
         objects: the dataset (partitioned once at construction).
         shards: number of shards K.
         partitioner: one of :data:`PARTITIONERS`.
-        backend: one of :data:`BACKENDS` (``auto`` picks per the machine).
+        backend: one of :data:`BACKENDS`.
         global_fanout: R-tree fan-out per shard.
         metrics: optional :class:`repro.obs.metrics.MetricsRegistry`; feeds
             the ``repro_serve_shard_fanout`` histogram per query.
@@ -368,7 +308,7 @@ class ShardedSearch:
         *,
         shards: int = 1,
         partitioner: str = "round-robin",
-        backend: str = "auto",
+        backend: str = "serial",
         global_fanout: int = 16,
         metrics: Any = None,
         workers: int | None = None,
@@ -387,7 +327,7 @@ class ShardedSearch:
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         self.partitioner = partitioner
-        self.requested_backend = backend
+        self.backend = backend
         self.metrics = metrics
         self._fanout = global_fanout
         self.workers = workers
@@ -398,8 +338,6 @@ class ShardedSearch:
         #: Shard centroids (MBR centers) for partitioner-aware inserts;
         #: empty shards get +inf so they never attract until refilled.
         self._centroids = self._compute_centroids()
-        self._pool = None
-        self._executor: ThreadPoolExecutor | None = None
         # Pool-backend state: the segment store owns the shared-memory
         # snapshots; the executor holds the persistent spawn-safe workers.
         self._store = None
@@ -421,7 +359,7 @@ class ShardedSearch:
         searches: Sequence[NNCSearch],
         *,
         partitioner: str = "round-robin",
-        backend: str = "auto",
+        backend: str = "serial",
         global_fanout: int = 16,
         metrics: Any = None,
         workers: int | None = None,
@@ -457,18 +395,6 @@ class ShardedSearch:
     @property
     def shards(self) -> int:
         return len(self.searches)
-
-    @property
-    def backend(self) -> str:
-        """The backend actually used (``auto`` resolved per machine)."""
-        backend = self.requested_backend
-        if backend != "auto":
-            return backend
-        if self.shards <= 1 or (os.cpu_count() or 1) <= 1:
-            return "serial"
-        if "fork" in multiprocessing.get_all_start_methods():
-            return "process"
-        return "thread"
 
     def shard_sizes(self) -> list[int]:
         """Live (unmasked) object count per shard."""
@@ -530,7 +456,6 @@ class ShardedSearch:
             self._centroids[shard]
         ).all():
             self._centroids[shard] = (obj.mbr.lo + obj.mbr.hi) / 2.0
-        self.invalidate_pool()
         self._publish_epoch([shard])
         return shard
 
@@ -538,7 +463,6 @@ class ShardedSearch:
         """Tombstone ``obj`` in its shard (O(1) logical delete)."""
         ok = self.searches[shard].mask_object(obj)
         if ok:
-            self.invalidate_pool()
             self._publish_epoch([shard])
         return ok
 
@@ -557,28 +481,11 @@ class ShardedSearch:
                     rebuilt.append(j)
                 removed += dropped
         if removed:
-            self.invalidate_pool()
             self._publish_epoch(rebuilt)
         return removed
 
-    def invalidate_pool(self) -> None:
-        """Drop the fork pool; the next process-backend query re-forks.
-
-        The ``pool`` backend is *not* invalidated here — mutations publish
-        a new shared-memory epoch instead (:meth:`_publish_epoch`), and the
-        persistent workers re-attach without restarting.
-        """
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
     def close(self) -> None:
-        """Release pool/executor resources and unlink shared memory."""
-        self.invalidate_pool()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Shut the pool workers down and unlink shared memory."""
         if self._pool_exec is not None:
             self._pool_exec.shutdown(wait=True, cancel_futures=True)
             self._pool_exec = None
@@ -605,7 +512,7 @@ class ShardedSearch:
         """Scatter-gather k-NNC; pinned equal to the single-shard answer.
 
         With a ``budget``, the serial backend shares it across the cascade
-        (request-level semantics); parallel backends give each shard a
+        (request-level semantics); the pool backend gives each shard a
         fresh budget with the same limits.  Any shard degradation makes the
         combined answer a flagged superset, same contract as
         :class:`repro.core.nnc.NNCResult`.
@@ -613,9 +520,8 @@ class ShardedSearch:
         With a ``request`` (the serving layer's
         :class:`repro.obs.request.RequestContext`), a sampled request's
         shard searches are traced: the serial cascade records into the
-        request's root tracer, thread workers bind a shard child context
-        and hand span buffers back via ``add_shard_spans``, and fork
-        workers ship the child over the wire and return span dicts.
+        request's root tracer, and pool workers get a shard child context
+        over the wire and return span dicts for ``add_shard_spans``.
 
         With a ``shard_subset``, only those shards are searched and the
         answer is the exact k-NNC over the *union of the subset's
@@ -628,35 +534,16 @@ class ShardedSearch:
             operator = make_operator(operator)
         targets = self._normalise_subset(shard_subset)
         start = time.perf_counter()
-        backend = self.backend
-        if backend == "serial" or self.shards == 1:
-            survivors, covered, per_shard, merged, degradation, refine_ctx = (
-                self._scatter_serial(
-                    query, operator, k, metric, kernels, budget, request,
-                    targets,
-                )
+        scatter = (
+            self._scatter_pool
+            if self.backend == "pool" and self.shards > 1
+            else self._scatter_serial
+        )
+        survivors, covered, per_shard, merged, degradation, refine_ctx = (
+            scatter(
+                query, operator, k, metric, kernels, budget, request, targets
             )
-        elif backend == "thread":
-            survivors, covered, per_shard, merged, degradation, refine_ctx = (
-                self._scatter_thread(
-                    query, operator, k, metric, kernels, budget, request,
-                    targets,
-                )
-            )
-        elif backend == "pool":
-            survivors, covered, per_shard, merged, degradation, refine_ctx = (
-                self._scatter_pool(
-                    query, operator, k, metric, kernels, budget, request,
-                    targets,
-                )
-            )
-        else:
-            survivors, covered, per_shard, merged, degradation, refine_ctx = (
-                self._scatter_process(
-                    query, operator, k, metric, kernels, budget, request,
-                    targets,
-                )
-            )
+        )
 
         pre_refine = refine_ctx.counters.snapshot()
         final, counts, refine_checks, unresolved = refine_survivors(
@@ -669,7 +556,7 @@ class ShardedSearch:
             if post_refine[key] - pre_refine.get(key, 0)
         }
         if refine_ctx.counters is not merged:
-            # Parallel backends refine in a fresh context; fold its work
+            # The pool backend refines in a fresh context; fold its work
             # into the merged bag so the query's counters cover the whole
             # answer, same as the serial path (where the contexts alias).
             merged.merge(_counters_from_snapshot(refine_deltas))
@@ -693,7 +580,7 @@ class ShardedSearch:
             dominator_counts=counts,
             elapsed=time.perf_counter() - start,
             shards=self.shards,
-            backend=backend,
+            backend=self.backend,
             per_shard=per_shard,
             refine_checks=refine_checks,
             fanout=sum(1 for group in survivors if group),
@@ -726,7 +613,7 @@ class ShardedSearch:
                 "search.degraded",
                 level="warning",
                 operator=operator.name,
-                backend=backend,
+                backend=self.backend,
                 reason=degradation.reason,
                 site=degradation.site,
                 unresolved_checks=degradation.unresolved_checks,
@@ -766,8 +653,8 @@ class ShardedSearch:
         return [j for _, j in keyed]
 
     def _scatter_serial(
-        self, query, operator, k, metric, kernels, budget, request=None,
-        targets: Sequence[int] | None = None,
+        self, query, operator, k, metric, kernels, budget, request,
+        targets: Sequence[int],
     ):
         """Cascade: near shards first, survivors seed the later shards.
 
@@ -783,7 +670,7 @@ class ShardedSearch:
         ctx = QueryContext(
             query, metric=metric, kernels=kernels, budget=budget, tracer=tracer
         )
-        wanted = set(targets if targets is not None else range(self.shards))
+        wanted = set(targets)
         order = [j for j in self._shard_order(query) if j in wanted]
         survivors: list[list[tuple[UncertainObject, int]]] = [
             [] for _ in order
@@ -814,118 +701,6 @@ class ShardedSearch:
             seeds.extend(res.candidates)
         per_shard = [rows[j] for j in sorted(rows)]
         return survivors, covered, per_shard, ctx.counters, degradation, ctx
-
-    def _scatter_thread(
-        self, query, operator, k, metric, kernels, budget, request=None,
-        targets: Sequence[int] | None = None,
-    ):
-        """Independent shard searches on a thread pool, full refine.
-
-        Each worker binds a shard child of the request context (fresh span
-        id, parent = the request span), so log events emitted on the worker
-        thread correlate, and — when sampled — records spans into a private
-        tracer sharing the request's ``trace_epoch``, handed back via
-        :meth:`RequestContext.add_shard_spans`.
-        """
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max(2, min(self.shards, (os.cpu_count() or 1))),
-                thread_name_prefix="repro-shard",
-            )
-        limits = budget.limits() if budget is not None else None
-
-        def one(j: int):
-            shard_budget = Budget(**limits) if limits is not None else None
-            if request is None:
-                ctx = QueryContext(
-                    query, metric=metric, kernels=kernels, budget=shard_budget
-                )
-                return j, self.searches[j].run(query, operator, k=k, ctx=ctx), None
-            child = request.child(j)
-            tracer = Tracer(epoch=child.trace_epoch) if child.sampled else None
-            ctx = QueryContext(
-                query,
-                metric=metric,
-                kernels=kernels,
-                budget=shard_budget,
-                tracer=tracer,
-            )
-            with bind(child):
-                if tracer is None:
-                    return j, self.searches[j].run(query, operator, k=k, ctx=ctx), None
-                with tracer.span(
-                    "shard-search",
-                    shard=j,
-                    span_id=child.span_id,
-                    parent_span_id=child.parent_span_id,
-                ):
-                    res = self.searches[j].run(query, operator, k=k, ctx=ctx)
-            return j, res, tracer.spans()
-
-        results = []
-        todo = list(targets) if targets is not None else list(range(self.shards))
-        for j, res, spans in self._executor.map(one, todo):
-            if spans is not None and request is not None:
-                request.add_shard_spans(j, spans)
-            results.append((j, res))
-        return self._gather_independent(query, metric, kernels, results)
-
-    def _scatter_process(
-        self, query, operator, k, metric, kernels, budget, request=None,
-        targets: Sequence[int] | None = None,
-    ):
-        """Fork-pool shard searches; falls back to threads when fork fails.
-
-        A sampled request's shard child contexts cross the process boundary
-        in wire form inside the task tuple; workers return their span
-        buffers as dicts, reassembled here into the request context.
-        """
-        global _FORK_SEARCHES
-        limits = budget.limits() if budget is not None else None
-        if self._pool is None:
-            try:
-                mp = multiprocessing.get_context("fork")
-                _FORK_SEARCHES = self.searches
-                self._pool = mp.Pool(
-                    processes=max(2, min(self.shards, (os.cpu_count() or 2)))
-                )
-            except (OSError, ValueError):
-                return self._scatter_thread(
-                    query, operator, k, metric, kernels, budget, request,
-                    targets,
-                )
-        traced = request is not None and request.sampled
-        todo = list(targets) if targets is not None else list(range(self.shards))
-        tasks = [
-            (
-                j,
-                query,
-                operator,
-                k,
-                metric,
-                kernels,
-                limits,
-                request.child(j).to_wire() if traced else None,
-            )
-            for j in todo
-        ]
-        raw = self._pool.map(_fork_run_one, tasks)
-        results = []
-        for j, (idxs, counts, elapsed, report, snap, spans) in zip(todo, raw):
-            objs = self.searches[j].objects
-            res = _RemoteShardResult(
-                candidates=[objs[i] for i in idxs],
-                dominator_counts=counts,
-                elapsed=elapsed,
-                degradation=_report_from_dict(report) if report else None,
-                counters=_counters_from_snapshot(snap),
-            )
-            if spans and request is not None:
-                request.add_shard_spans(
-                    j, [SpanRecord.from_dict(d) for d in spans]
-                )
-            results.append((j, res))
-        return self._gather_independent(query, metric, kernels, results)
 
     # --------------------------- pool backend -------------------------- #
 
@@ -1031,8 +806,8 @@ class ShardedSearch:
         return out
 
     def _scatter_pool(
-        self, query, operator, k, metric, kernels, budget, request=None,
-        targets: Sequence[int] | None = None,
+        self, query, operator, k, metric, kernels, budget, request,
+        targets: Sequence[int],
     ):
         """Persistent shared-memory pool scatter (spawn-safe workers).
 
@@ -1048,7 +823,6 @@ class ShardedSearch:
         limits = budget.limits() if budget is not None else None
         traced = request is not None and request.sampled
         names = [segs[-1] for segs in self._shard_segments]
-        todo = list(targets) if targets is not None else list(range(self.shards))
         tasks = [
             (
                 j,
@@ -1062,7 +836,7 @@ class ShardedSearch:
                 limits,
                 request.child(j).to_wire() if traced else None,
             )
-            for j in todo
+            for j in targets
         ]
         raw = []
         try:
@@ -1077,8 +851,12 @@ class ShardedSearch:
                 "pool worker died mid-query; the backend rebuilds its "
                 "workers on the next query"
             ) from exc
-        results = []
-        for j, payload in zip(todo, raw):
+        survivors = []
+        covered = []
+        per_shard = []
+        merged = Counters()
+        degradation: DegradationReport | None = None
+        for pos, (j, payload) in enumerate(zip(targets, raw)):
             if payload[0] == "error":
                 _, pid, epoch, message = payload
                 raise ShardBackendError(
@@ -1089,48 +867,26 @@ class ShardedSearch:
                 payload
             )
             objs = self._snapshot_objects[names[j]]
-            res = _RemoteShardResult(
-                candidates=[objs[i] for i in idxs],
-                dominator_counts=counts,
-                elapsed=elapsed,
-                degradation=_report_from_dict(report) if report else None,
-                counters=_counters_from_snapshot(snap),
-                pid=pid,
-            )
-            if spans and request is not None:
-                request.add_shard_spans(j, spans)
-            results.append((j, res))
-        return self._gather_independent(query, metric, kernels, results)
-
-    def _gather_independent(self, query, metric, kernels, results):
-        """Shape independent per-shard results for the full refiner."""
-        results.sort(key=lambda item: item[0])
-        survivors = []
-        covered = []
-        per_shard = []
-        merged = Counters()
-        degradation: DegradationReport | None = None
-        for pos, (j, res) in enumerate(results):
-            survivors.append(list(zip(res.candidates, res.dominator_counts)))
+            survivors.append([(objs[i], c) for i, c in zip(idxs, counts)])
             # Group ids in the refiner are positional, which only equals
             # the shard id when every shard was scattered — subset queries
             # must cover by position.
             covered.append({pos})
+            shard_report = _report_from_dict(report) if report else None
             search = self.searches[j]
-            row = {
+            per_shard.append({
                 "shard": j,
                 "objects": len(search.objects) - search.masked_count,
-                "survivors": len(res.candidates),
-                "elapsed": res.elapsed,
-                "degraded": res.degradation is not None,
-            }
-            pid = getattr(res, "pid", None)
-            if pid is not None:
-                row["pid"] = pid
-            per_shard.append(row)
-            merged.merge(res.counters)
-            if degradation is None and res.degradation is not None:
-                degradation = res.degradation
+                "survivors": len(idxs),
+                "elapsed": elapsed,
+                "degraded": shard_report is not None,
+                "pid": pid,
+            })
+            merged.merge(_counters_from_snapshot(snap))
+            if degradation is None:
+                degradation = shard_report
+            if spans and request is not None:
+                request.add_shard_spans(j, spans)
         refine_ctx = QueryContext(query, metric=metric, kernels=kernels)
         return survivors, covered, per_shard, merged, degradation, refine_ctx
 
@@ -1195,16 +951,3 @@ def refine_survivors(operator, k, survivors, covered, ctx):
             counts.append(total)
     return kept, counts, checks, unresolved
 
-
-@dataclass
-class _RemoteShardResult:
-    """NNCResult-shaped view of a pool worker's return value."""
-
-    candidates: list[UncertainObject]
-    dominator_counts: list[int]
-    elapsed: float
-    degradation: DegradationReport | None
-    counters: Counters
-    #: Worker pid (pool backend only) — surfaces in ``per_shard`` rows so
-    #: tests can pin "mutations do not restart workers".
-    pid: int | None = None

@@ -437,10 +437,10 @@ def pool_run_one(task: tuple) -> tuple:
     The task tuple is ``(shard_idx, epoch, segment_name, query, operator,
     k, metric, kernels, budget_limits, request_wire)`` — a few hundred
     bytes regardless of dataset size; shard state arrives through shared
-    memory only.  The return contract matches the fork backend: candidate
-    *indices* into the snapshot order, counts, elapsed, degradation report
-    dict, counters snapshot, span dicts — plus the worker pid and the epoch
-    answered, for lifecycle assertions and diagnostics.
+    memory only.  Results travel as plain data: candidate *indices* into
+    the snapshot order, counts, elapsed, degradation report dict, counters
+    snapshot, span dicts — plus the worker pid and the epoch answered, for
+    lifecycle assertions and diagnostics.
     """
     (
         shard_idx, epoch, name, query, operator,

@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.serve.shard import BACKENDS
 
     parser = argparse.ArgumentParser(prog="python -m repro.serve.smoke")
-    parser.add_argument("--backend", default="auto", choices=BACKENDS)
+    parser.add_argument("--backend", default="serial", choices=BACKENDS)
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for --backend pool")
     parser.add_argument("--shards", type=int, default=2)

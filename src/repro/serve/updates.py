@@ -11,9 +11,9 @@ plus the bookkeeping a living dataset needs:
 * **O(1) deletes** via the engine's deletion mask, with automatic shard
   compaction once the tombstone fraction passes ``compact_threshold``,
 * a **readers-writer lock**: queries share the dataset; mutations take it
-  exclusively (and invalidate the fork pool via the sharded search; the
-  ``pool`` backend instead gets a fresh shared-memory epoch published for
-  the mutated shards — its workers persist across updates).
+  exclusively (under the ``pool`` backend each mutation publishes a fresh
+  shared-memory epoch for the mutated shards — its workers persist across
+  updates).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class DatasetManager:
         *,
         shards: int = 1,
         partitioner: str = "round-robin",
-        backend: str = "auto",
+        backend: str = "serial",
         global_fanout: int = 16,
         on_invalid: str = "strict",
         compact_threshold: float = 0.3,

@@ -30,6 +30,7 @@ prove recovery flags (and never silently drops) a mid-frame tear.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import struct
@@ -94,7 +95,10 @@ class FsyncPolicy:
             raise ValueError("fsync interval must be non-negative")
         self.mode = mode
         self.interval_s = interval_s
-        self._last_sync = 0.0
+        # -inf, not 0.0: time.monotonic() counts from an arbitrary point
+        # (boot on Linux), so a 0.0 baseline would skip every fsync until
+        # the host had been up for interval_s.  The first append syncs.
+        self._last_sync = -math.inf
 
     def due(self) -> bool:
         """True when this append should fsync (marks the sync time)."""

@@ -244,7 +244,7 @@ class TestReplay:
         objects = _objects()
         records = self._recorded_session(tmp_path, objects)
         report = replay_audit(
-            records, objects, shards=3, backend="thread", partitioner="centroid"
+            records, objects, shards=3, partitioner="centroid"
         )
         assert report.ok and report.verified == 5
 

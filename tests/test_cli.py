@@ -132,7 +132,7 @@ class TestServeClientParsers:
         args = build_parser().parse_args(["serve"])
         assert args.shards == 1
         assert args.partitioner == "round-robin"
-        assert args.backend == "auto"
+        assert args.backend == "serial"
         assert args.port == 8080
         assert args.cache_size == 256
         assert args.max_inflight == 8
@@ -141,8 +141,15 @@ class TestServeClientParsers:
     def test_serve_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--partitioner", "mod-hash"])
+        for backend in ("gpu", "thread", "process", "auto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "--backend", backend])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "gpu"])
+            # Replay always rebuilds serially; it takes no --backend.
+            build_parser().parse_args(
+                ["replay", "a.jsonl", "--dataset", "d.npz",
+                 "--backend", "serial"]
+            )
 
     def test_client_defaults_and_actions(self):
         args = build_parser().parse_args(["client", "health"])

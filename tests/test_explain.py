@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import synthetic
+from repro.obs import stage_rows
 from repro.obs.request import RequestContext, Sampler
 from repro.obs.tracer import SpanRecord
 from repro.serve.cache import ResultCache
-from repro.serve.explain import merge_explains, stage_rows
+from repro.serve.explain import merge_explains
 from repro.serve.remote import LocalNode
 from repro.serve.router import RouterApp
 from repro.serve.server import ServeApp

@@ -18,7 +18,6 @@ from repro.cli import main as cli_main
 from repro.core.context import QueryContext
 from repro.core.counters import Counters
 from repro.core.nnc import NNCSearch
-from repro.experiments.report import trace_breakdown, trace_breakdown_table
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -625,43 +624,6 @@ class TestServeMetricFamilies:
         ) == 1200
 
 
-class TestBreakdown:
-    def test_trace_breakdown_rows(self, rng):
-        objects, query = random_scene(rng, n_objects=25)
-        tracer = Tracer()
-        ctx = QueryContext(query, tracer=tracer)
-        NNCSearch(objects).run(query, "SSD", ctx=ctx, k=2)
-        rows = trace_breakdown(tracer.spans())
-        by_span = {(r["span"], r["operator"]): r for r in rows}
-        assert ("search", "-") in by_span or any(
-            r["span"] == "search" for r in rows
-        )
-        checks = [r for r in rows if r["span"] == "dominance-check"]
-        assert checks and checks[0]["calls"] >= 1
-        for row in rows:
-            assert row["total_ms"] >= 0
-            assert row["mean_ms"] == pytest.approx(
-                row["total_ms"] / row["calls"]
-            )
-            if row["dominance_checks"]:
-                assert row["cmp_per_check"] == pytest.approx(
-                    row["comparisons"] / row["dominance_checks"]
-                )
-        # Sorted by total time, descending.
-        totals = [r["total_ms"] for r in rows]
-        assert totals == sorted(totals, reverse=True)
-
-    def test_trace_breakdown_table_renders(self, rng):
-        objects, query = random_scene(rng, n_objects=15)
-        tracer = Tracer()
-        NNCSearch(objects).run(
-            query, "SSSD", ctx=QueryContext(query, tracer=tracer)
-        )
-        text = trace_breakdown_table(tracer.spans())
-        assert "Span breakdown" in text
-        assert "cdf-sweep" in text
-
-
 class TestCLI:
     def test_search_trace_metrics_breakdown(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
@@ -683,6 +645,43 @@ class TestCLI:
         text = metrics_path.read_text()
         assert 'repro_queries_total{operator="PSD"} 1' in text
         assert "repro_span_seconds_bucket" in text
+
+    def test_breakdown_stages_plus_untracked_equal_bag(self, tmp_path, capsys):
+        """``--breakdown`` charges each counted unit to exactly one row.
+
+        Summing inclusive span deltas would count a dominance check's
+        comparisons under ``search``, ``dominance-check`` and the
+        operator's inner stage alike; exclusive stage rows plus the
+        ``untracked`` residual must add up to the query's counter bag
+        (read back from the ``repro_counter_total`` export).
+        """
+        metrics_path = tmp_path / "metrics.json"
+        rc = cli_main([
+            "search", "--n", "200", "--m", "5", "--k", "2",
+            "--operator", "FSD", "--quiet", "--seed", "3",
+            "--breakdown", "--metrics", str(metrics_path),
+        ])
+        assert rc == 0
+        table = capsys.readouterr().out.split("Span breakdown", 1)[1]
+        reported: dict[str, int] = {}
+        for line in table.splitlines():
+            fields = line.split(None, 4)
+            if fields[:1] == ["untracked:"]:
+                pairs = line.split(":", 1)[1]
+            elif len(fields) == 5 and fields[1].isdigit():
+                pairs = fields[4]
+            else:
+                continue
+            for pair in pairs.split(","):
+                if "=" in pair:
+                    key, value = pair.strip().split("=")
+                    reported[key] = reported.get(key, 0) + int(value)
+        series = json.loads(metrics_path.read_text())["metrics"][
+            "repro_counter_total"
+        ]["series"]
+        bag = {s["labels"]["counter"]: int(s["value"]) for s in series}
+        assert bag["instance_comparisons"] > 0
+        assert reported == bag
 
     def test_search_trace_jsonl_and_metrics_json(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"

@@ -113,11 +113,21 @@ class TestWal:
         assert FsyncPolicy("always").due()
         assert not FsyncPolicy("never").due()
         interval = FsyncPolicy("interval", interval_s=3600.0)
-        interval._last_sync = 0.0
         assert interval.due()  # first call past the interval
         assert not interval.due()  # just synced
         with pytest.raises(ValueError):
             FsyncPolicy("sometimes")
+
+    def test_interval_mode_fsyncs_the_first_append(self, tmp_path):
+        registry = MetricsRegistry()
+        wal = WriteAheadLog(
+            tmp_path / "wal.log", fsync="interval", fsync_interval_s=3600,
+            metrics=registry,
+        )
+        wal.append({"kind": "insert", "epoch": 1})
+        wal.close()
+        fsyncs = registry.get("repro_wal_fsync_seconds")
+        assert fsyncs is not None and fsyncs.count == 1
 
     def test_kill_injection_tears_the_frame(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WAL_KILL_AT_APPEND", "2")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from repro.serve.updates import DatasetManager
 # Mid-dataset query over overlapping objects: dominance checks actually
 # run, so budget-degradation paths are reachable.
 QUERY_POINTS = [[4700.0, 5300.0], [5200.0, 5800.0]]
+
+#: fork boots pool workers in milliseconds (as in test_serve_pool).
+START = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 def _manager(registry=None, n: int = 40):
@@ -209,13 +213,14 @@ class TestServeApp:
 class TestRequestObservability:
     """Acceptance: sampled requests yield one merged trace + audit record."""
 
-    def _traced_app(self, tmp_path, *, backend="thread", shards=4):
+    def _traced_app(self, tmp_path, *, backend="pool", shards=4):
         registry = MetricsRegistry()
         rng = np.random.default_rng(13)
         centers = synthetic.anticorrelated_centers(40, 2, rng)
         objects = synthetic.make_objects(centers, 4, 2000.0, rng)
         manager = DatasetManager(
-            objects, shards=shards, backend=backend, metrics=registry
+            objects, shards=shards, backend=backend, metrics=registry,
+            workers=2, start_method=START,
         )
         from repro.serve.audit import AuditLog
 
@@ -279,7 +284,7 @@ class TestRequestObservability:
         assert "repro_slo_degraded_ratio 0" in text
         assert "repro_serve_sampled_total 1" in text
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_trace_rows_across_backends(self, tmp_path, backend):
         app = self._traced_app(tmp_path, backend=backend)
         try:

@@ -97,8 +97,9 @@ class TestPartitioners:
             partition_round_robin(objects, 0)
         with pytest.raises(ValueError):
             ShardedSearch(objects, partitioner="mod-hash")
-        with pytest.raises(ValueError):
-            ShardedSearch(objects, backend="gpu")
+        for backend in ("gpu", "thread", "process", "auto"):
+            with pytest.raises(ValueError):
+                ShardedSearch(objects, backend=backend)
 
 
 class TestExactness:
@@ -164,7 +165,7 @@ class TestExactness:
             assert brute[obj.oid] < k
             assert count <= brute[obj.oid]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_backends_agree(self, workload, monolith, backend):
         objects, query = workload
         expected = sorted(monolith.run(query, "PSD", k=2).oids())
@@ -173,24 +174,6 @@ class TestExactness:
         sharded.close()
         assert result.backend == backend
         assert sorted(result.oids()) == expected
-
-    def test_process_backend_agrees(self, workload, monolith):
-        pytest.importorskip("multiprocessing")
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork on this platform")
-        objects, query = workload
-        expected = sorted(monolith.run(query, "FSD").oids())
-        sharded = ShardedSearch(objects, shards=2, backend="process")
-        try:
-            result = sharded.run(query, "FSD")
-            # Candidates come back as parent-process objects, not copies.
-            parent_ids = {id(o) for o in objects}
-            assert all(id(c) in parent_ids for c in result.candidates)
-            assert sorted(result.oids()) == expected
-        finally:
-            sharded.close()
 
     def test_seeds_prune_but_never_change_the_answer(self, workload):
         objects, query = workload
