@@ -13,7 +13,7 @@ Layers (bottom-up):
 * :mod:`repro.serve.wal` / :mod:`repro.serve.durable` — durable tier:
   CRC-framed write-ahead log, atomic memory-mapped snapshots, and a
   crash-safe warm restart that recovers the exact pre-crash epoch
-  (DESIGN.md §17; kill-tested by ``python -m repro.serve.crashsmoke``).
+  (DESIGN.md §17; kill-tested by ``python -m repro.scenario crash``).
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.server` — JSON-over-HTTP
   front end (stdlib asyncio) with budget admission, graceful drain,
   request-scoped tracing (one merged Chrome trace per sampled request),

@@ -264,8 +264,8 @@ def durable_epoch(data_dir: str | Path) -> tuple[int, TornTail | None]:
     """The exact epoch a warm restart of ``data_dir`` must recover.
 
     Newest valid snapshot epoch, advanced by every intact WAL frame past
-    it.  Also returns the WAL torn-tail flag, if any — the crashsmoke
-    harness uses this as the ground truth to hold a restarted server to.
+    it.  Also returns the WAL torn-tail flag, if any — ``python -m
+    repro.scenario crash`` holds a restarted server to this ground truth.
     """
     snap = latest_snapshot(data_dir)
     epoch = 0

@@ -1,7 +1,7 @@
 """JSON request/response shapes for the NNC query service.
 
 Kept separate from the transport so the CLI client, the server, tests, and
-the smoke runner all speak one dialect.  Parsing is strict: unknown
+the scenario runner all speak one dialect.  Parsing is strict: unknown
 operators, malformed arrays, and bad budgets fail with
 :class:`ProtocolError` (mapped to HTTP 400) before any engine code runs.
 
@@ -36,6 +36,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.operators import OperatorKind
+from repro.geometry.distance import resolve_metric
 from repro.objects.uncertain import UncertainObject
 from repro.resilience.budget import Budget
 
@@ -67,6 +68,11 @@ def _require_dict(payload: Any) -> dict:
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
     return payload
+
+
+def _is_oid(value: Any) -> bool:
+    # JSON booleans decode to bool, an int subclass: never an oid.
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 def _parse_object(payload: dict, *, oid=None) -> UncertainObject:
@@ -131,6 +137,10 @@ def parse_query_request(payload: Any) -> dict:
     metric = payload.get("metric", "euclidean")
     if not isinstance(metric, str):
         raise ProtocolError("'metric' must be a string")
+    try:
+        resolve_metric(metric)
+    except KeyError as exc:
+        raise ProtocolError(exc.args[0])
     cache = payload.get("cache", True)
     if not isinstance(cache, bool):
         raise ProtocolError("'cache' must be a boolean")
@@ -167,7 +177,7 @@ def parse_insert_request(payload: Any) -> UncertainObject:
     """Validate an /insert body into an object (oid may be None)."""
     payload = _require_dict(payload)
     oid = payload.get("oid")
-    if oid is not None and not isinstance(oid, (int, str)):
+    if oid is not None and not _is_oid(oid):
         raise ProtocolError("'oid' must be an integer or string")
     return _parse_object(payload, oid=oid)
 
@@ -178,7 +188,7 @@ def parse_delete_request(payload: Any):
     if "oid" not in payload:
         raise ProtocolError("missing 'oid'")
     oid = payload["oid"]
-    if not isinstance(oid, (int, str)):
+    if not _is_oid(oid):
         raise ProtocolError("'oid' must be an integer or string")
     return oid
 

@@ -27,6 +27,8 @@ Architecture (DESIGN.md §18):
   usable answer wins.  Transport errors, 5xx, 429 and stale reads fail
   over to surviving replicas; per-node circuit breakers
   (:class:`repro.serve.remote.CircuitBreaker`) stop asking dead nodes.
+  A replica's 400 or 422 judges the request, not the replica, so it is
+  the client's answer, for reads and writes alike.
 * **Writes** — fanned out to every owner of the object's shard under the
   router's write lock.  The router assigns missing oids (so replicas
   stay byte-identical), tolerates per-replica 409/404 disagreement as
@@ -81,6 +83,18 @@ _HEDGE_WARMUP_CALLS = 8
 #: Adaptive hedging never fires below this (seconds): an in-process
 #: fleet's p95 is microseconds, and hedging every read helps nobody.
 _HEDGE_FLOOR_S = 0.001
+#: Replica answers that judge the request, not the replica: every owner
+#: would answer the same, so the router passes them through.
+_REJECTIONS = (400, 422)
+
+
+class _Rejected(Exception):
+    """A replica refused the request itself; its answer is the client's."""
+
+    def __init__(self, status: int, body: dict) -> None:
+        super().__init__(status)
+        self.status = status
+        self.body = body
 
 
 class RouterApp(ServeApp):
@@ -419,6 +433,8 @@ class RouterApp(ServeApp):
                                     "repro_router_hedge_wins_total"
                                 )
                         return nid, body
+                elif status in _REJECTIONS:
+                    raise _Rejected(status, body)
                 else:
                     errors.append(
                         f"{nid}: HTTP {status} {body.get('error', '')!s}"
@@ -564,6 +580,7 @@ class RouterApp(ServeApp):
         acked: list[str] = []
         converged: list[str] = []
         failed: list[str] = []
+        rejected = None
         for nid, fut in futures:
             status, body, transport_error = fut.result()
             if transport_error is not None:
@@ -575,9 +592,13 @@ class RouterApp(ServeApp):
             elif status == converged_status:
                 converged.append(nid)
             else:
+                if status in _REJECTIONS:
+                    rejected = _Rejected(status, body)
                 failed.append(
                     f"{nid}: HTTP {status} {body.get('error', '')!s}"
                 )
+        if rejected is not None and not acked:
+            raise rejected
         return acked, converged, failed
 
     @staticmethod
@@ -654,7 +675,10 @@ class RouterApp(ServeApp):
             # is the fleet doing *now*" view, and one round of GETs over
             # the node set is cheap next to a stale answer.
             return 200, self.fleet.scrape()
-        return super().handle(method, path, payload, request)
+        try:
+            return super().handle(method, path, payload, request)
+        except _Rejected as exc:
+            return exc.status, exc.body
 
     def healthz(self) -> dict:
         """GET /healthz: router liveness plus the fleet's vital signs."""

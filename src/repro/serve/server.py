@@ -344,6 +344,9 @@ class ServeApp:
                 raise protocol.ProtocolError(
                     f"'shards' {shard_subset} out of range [0, {total})"
                 )
+        # Non-finite or wrong-dimension points answer 422 here, before the
+        # cache key or any index sees them.
+        self.manager.quarantine(req["query"])
         budget = req["budget"]
         if budget is None and self.default_budget:
             budget = Budget(**self.default_budget)
@@ -581,7 +584,7 @@ class NNCServer:
         server = NNCServer(app, host="127.0.0.1", port=8080)
         asyncio.run(server.run())          # serves until SIGTERM/SIGINT
 
-    or, embedded (tests / smoke)::
+    or, embedded (tests / the scenario runner)::
 
         await server.start()               # binds; server.port is real
         ...

@@ -412,12 +412,18 @@ class ShardedSearch:
             out.extend(s.live_objects())
         return out
 
+    @property
+    def dim(self) -> int | None:
+        """Dimensionality of the indexed objects; None while every shard
+        is empty."""
+        return next(
+            (s.objects[0].dim for s in self.searches if s.objects), None
+        )
+
     def _compute_centroids(self) -> np.ndarray | None:
         if self.partitioner != "centroid":
             return None
-        dims = next(
-            (s.objects[0].dim for s in self.searches if s.objects), None
-        )
+        dims = self.dim
         if dims is None:
             return None
         cents = np.full((len(self.searches), dims), np.inf)

@@ -7,7 +7,9 @@ plus the bookkeeping a living dataset needs:
 * an **epoch counter** bumped by every successful mutation — the cache key
   version that makes stale hits impossible (:mod:`repro.serve.cache`),
 * **quarantine at the door**: inserts run :func:`repro.objects.validate
-  .validate_objects` under the configured policy before touching an index,
+  .validate_objects` at the dataset's dimensionality, under the configured
+  policy, before touching an index (the server runs queries through the
+  same check, strictly),
 * **O(1) deletes** via the engine's deletion mask, with automatic shard
   compaction once the tombstone fraction passes ``compact_threshold``,
 * a **readers-writer lock**: queries share the dataset; mutations take it
@@ -271,6 +273,26 @@ class DatasetManager:
 
         return ResultCache.key(self._epoch, operator, metric, k, query)
 
+    def quarantine(
+        self, obj: UncertainObject, on_invalid: str = "strict"
+    ) -> UncertainObject:
+        """Validate one object at the dataset's dimensionality.
+
+        Inserts pass the manager's policy; queries keep ``strict``, since a
+        repaired query would answer a question nobody asked.  Returns the
+        kept (possibly repaired) object.
+
+        Raises:
+            InvalidInputError: the object was rejected or dropped.
+        """
+        kept, report = validate_objects(
+            [obj], on_invalid=on_invalid, dim=self.search.dim,
+            metrics=self.metrics,
+        )
+        if not kept:
+            raise InvalidInputError(report)
+        return kept[0]
+
     # ---------------------------- mutations ---------------------------- #
 
     def insert(
@@ -295,12 +317,7 @@ class DatasetManager:
             obj = UncertainObject(points, probs, oid=oid, normalize=True)
         except ValueError as exc:
             _invalid(str(exc))
-        kept, report = validate_objects(
-            [obj], on_invalid=self.on_invalid, metrics=self.metrics
-        )
-        if not kept:
-            raise InvalidInputError(report)
-        obj = kept[0]
+        obj = self.quarantine(obj, self.on_invalid)
         with self._lock.write():
             if oid is None:
                 obj.oid = self._next_oid()

@@ -23,8 +23,9 @@ fsync policy (shared with :class:`repro.serve.audit.AuditLog`):
 
 Crash injection: setting ``REPRO_WAL_KILL_AT_APPEND=<k>`` makes the k-th
 append (1-based, per process) write only *half* of its frame, fsync, and
-SIGKILL the process — the torn-frame fault the crashsmoke harness uses to
-prove recovery flags (and never silently drops) a mid-frame tear.
+SIGKILL the process — the torn-frame fault ``python -m repro.scenario
+crash`` uses to prove recovery flags (and never silently drops) a
+mid-frame tear.
 """
 
 from __future__ import annotations

@@ -332,6 +332,36 @@ class TestFailoverAndBreakers:
         assert breaker.state == "closed"
 
 
+class TestRejections:
+    def test_bad_requests_answer_4xx_without_tripping_breakers(
+        self, workload
+    ):
+        objects, query = workload
+        router, nodes, apps = make_fleet(objects)
+        try:
+            for _ in range(3):
+                status, body = router.dispatch(
+                    "POST", "/query",
+                    {"points": [[1.0, 2.0, 3.0]], "cache": False}, {},
+                )
+                assert 400 <= status < 500, body
+            status, _ = router.dispatch(
+                "POST", "/insert", {"points": [[1.0, 2.0, 3.0]]}, {}
+            )
+            assert status == 422 and router.epoch == 0
+            assert all(
+                node.breaker.state == "closed" for node in nodes.values()
+            )
+            status, body = router.dispatch(
+                "POST", "/query", _query_payload(query, "FSD", 1), {}
+            )
+            assert status == 200, body
+        finally:
+            router.close()
+            for app in apps:
+                app.close()
+
+
 class TestHedging:
     def test_slow_primary_is_hedged(self, workload):
         objects, query = workload

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import multiprocessing
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 
 from repro.datasets import synthetic
 from repro.obs.metrics import MetricsRegistry
+from repro.scenario import _ServerThread
 from repro.serve.cache import ResultCache
 from repro.serve.server import NNCServer, ServeApp
-from repro.serve.smoke import _ServerThread
 from repro.serve.updates import DatasetManager
 
 # Mid-dataset query over overlapping objects: dominance checks actually
@@ -99,10 +100,42 @@ class TestServeApp:
         ("POST", "/nope", {}, 404),
         ("POST", "/delete", {"oid": "ghost"}, 404),
         ("POST", "/insert", {"points": [[float("nan"), 1.0]]}, 422),
+        ("POST", "/query", {"points": [[math.nan, 1.0]]}, 422),
+        ("POST", "/query", {"points": [[math.inf, 1.0]]}, 422),
+        ("POST", "/query", {"points": [[1.0, 2.0, 3.0]]}, 422),  # wrong dim
+        ("POST", "/query", {"points": QUERY_POINTS, "metric": "cosine"}, 400),
+        ("POST", "/insert", {"points": [[1.0, 2.0, 3.0]]}, 422),  # wrong dim
+        ("POST", "/insert", {"points": QUERY_POINTS, "oid": True}, 400),
+        ("POST", "/delete", {"oid": True}, 400),  # not object 1
     ])
     def test_error_statuses(self, app, method, path, payload, status):
         got, body = app.handle(method, path, payload)
         assert got == status and "error" in body
+        # Refused before any index saw it: the dataset is whole and serves.
+        manager = app.manager
+        assert manager.epoch == 0 and manager.size == 40
+        assert len(manager.search.live_objects()) == manager.size
+        assert app.handle("POST", "/query", {"points": QUERY_POINTS})[0] == 200
+
+    def test_wrong_dimension_insert_leaves_a_durable_dataset_writable(
+        self, tmp_path
+    ):
+        from repro.serve.durable import DurableDatasetManager
+
+        rng = np.random.default_rng(13)
+        objects = synthetic.make_objects(
+            synthetic.anticorrelated_centers(30, 2, rng), 4, 2000.0, rng
+        )
+        manager = DurableDatasetManager(
+            objects, data_dir=tmp_path, snapshot_every=1, shards=2
+        )
+        app = ServeApp(manager)
+        status, body = app.dispatch("POST", "/insert", {"points": [[1, 2, 3]]})
+        assert status == 422
+        assert body["report"]["issues"][0]["code"] == "dim-mismatch"
+        status, _ = app.dispatch("POST", "/insert", {"points": QUERY_POINTS})
+        assert status == 200 and manager.epoch == 1
+        manager.close()  # the drain checkpoint packs every shard
 
     def test_duplicate_insert_is_conflict(self, app):
         app.handle("POST", "/insert", {"points": QUERY_POINTS, "oid": "dup"})
