@@ -314,13 +314,10 @@ class QueryContext:
             groups = self.level_groups
         key = (id(obj), groups)
         if key not in self._partitions:
-            slices = obj.local_rtree().partitions(groups)
-            parts: list[tuple[MBR, np.ndarray, float]] = []
-            for mbr, payloads in slices:
-                idx = np.array([i for i, _ in payloads], dtype=int)
-                mass = float(sum(p for _, p in payloads))
-                parts.append((mbr, idx, mass))
-            self._partitions[key] = parts
+            self._partitions[key] = [
+                (mbr, idx, float(sum(obj.probs[idx].tolist())))
+                for mbr, idx in obj.local_rtree().partitions(groups)
+            ]
         return self._partitions[key]
 
     def forget(self, obj: UncertainObject) -> None:

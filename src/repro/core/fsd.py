@@ -109,13 +109,15 @@ def _extremes_ok(
     if use_local_trees:
         u_tree = u.local_rtree()
         v_tree = v.local_rtree()
-        u_tree.metrics = v_tree.metrics = ctx.counters.metrics
-        u_tree.budget = v_tree.budget = ctx.budget
+        per_call = {
+            "batch": ctx.kernels,
+            "budget": ctx.budget,
+            "metrics": ctx.counters.metrics,
+        }
         for q in ctx.hull_points:
             ctx.counters.count_comparisons(1)
-            if u_tree.farthest_distance(q, batch=ctx.kernels) > v_tree.nearest_distance(
-                q, batch=ctx.kernels
-            ) + _TOL:
+            far = u_tree.farthest_distance(q, **per_call)
+            if far > v_tree.nearest_distance(q, **per_call) + _TOL:
                 return False
         return True
     if ctx.kernels:

@@ -34,8 +34,8 @@ from repro.core import kernels as K
 from repro.core.context import QueryContext
 from repro.core.counters import Counters
 from repro.core.operators import OperatorKind, _BaseOperator, make_operator
-from repro.geometry.mbr import mbr_dominates
-from repro.index.rtree import RTree, RTreeNode, _collect_entries
+from repro.geometry.mbr import MBR, mbr_dominates
+from repro.index.rtree import GLOBAL_FANOUT, RTree
 from repro.objects.uncertain import UncertainObject
 from repro.obs.metrics import query_metrics_from_counters
 from repro.resilience import RECOVERABLE_FAULTS
@@ -203,24 +203,18 @@ class NNCSearch:
     """Algorithm 1 bound to an object collection.
 
     Args:
-        objects: the dataset; a global R-tree over MBRs is built once and
+        objects: the dataset; a global R-tree over MBRs (fan-out
+            :data:`~repro.index.rtree.GLOBAL_FANOUT`) is built once and
             reused across queries and operators.
-        global_fanout: fan-out of the global R-tree (paper: page-sized; any
-            moderate value preserves the algorithmics).
     """
 
-    def __init__(
-        self, objects: Sequence[UncertainObject], global_fanout: int = 16
-    ) -> None:
+    def __init__(self, objects: Sequence[UncertainObject]) -> None:
         self.objects = list(objects)
-        self._fanout = global_fanout
-        entries = [(obj.mbr, obj) for obj in self.objects]
-        self.tree = RTree.bulk_load(entries, max_entries=global_fanout)
+        self.tree = _global_tree(self.objects)
         #: Deletion mask (tombstones): ids of objects logically removed but
         #: still present in the R-tree.  Masked objects are skipped by every
         #: search path; :meth:`compact` rebuilds the tree without them.
-        #: Cheap O(1) deletes for the dynamic-update path of ``repro.serve``
-        #: (a Guttman delete cascades reinserts; a mask does not).
+        #: Cheap O(1) deletes for the dynamic-update path of ``repro.serve``.
         self._masked: dict[int, UncertainObject] = {}
 
     @property
@@ -246,19 +240,7 @@ class NNCSearch:
         contexts remain valid (they cache per-object artefacts only).
         """
         self.objects.append(obj)
-        self.tree.insert(obj.mbr, obj)
-
-    def remove_object(self, obj: UncertainObject) -> bool:
-        """Remove an object (by identity) from the collection and index.
-
-        Returns:
-            True when the object was present and removed.
-        """
-        if not self.tree.delete(obj.mbr, obj):
-            return False
-        self.objects = [o for o in self.objects if o is not obj]
-        self._masked.pop(id(obj), None)
-        return True
+        self.tree.insert(obj.mbr.lo, obj.mbr.hi, obj)
 
     def mask_object(self, obj: UncertainObject) -> bool:
         """Logically delete ``obj`` without touching the R-tree (tombstone).
@@ -298,8 +280,7 @@ class NNCSearch:
         if dropped:
             self.objects = self.live_objects()
             self._masked.clear()
-            entries = [(obj.mbr, obj) for obj in self.objects]
-            self.tree = RTree.bulk_load(entries, max_entries=self._fanout)
+            self.tree = _global_tree(self.objects)
         return dropped
 
     # ------------------------------------------------------------------ #
@@ -415,11 +396,10 @@ class NNCSearch:
             # Heap items: (key, tiebreak, kind, payload)
             #   kind 0 = R-tree node, 1 = unrefined object, 2 = refined object.
             heap: list[tuple[float, int, int, object]] = []
-            root = self.tree.root
-            if root.mbr is not None:
-                heapq.heappush(
-                    heap, (root.mbr.mindist_mbr(q_mbr, norm), next(counter), 0, root)
-                )
+            tree = self.tree
+            for root in tree.roots():
+                key = tree.node_mbr(root).mindist_mbr(q_mbr, norm)
+                heapq.heappush(heap, (key, next(counter), 0, root))
             # Accepted candidates: [obj, exact dmin, dominator count].  The
             # count can only grow while the candidate is pending (distance
             # ties); objects with count >= k are evicted.
@@ -460,7 +440,8 @@ class NNCSearch:
                         yield record[0], time.perf_counter() - start, record[2]
                 try:
                     if kind == 0:
-                        node: RTreeNode = item  # type: ignore[assignment]
+                        node: int = item  # type: ignore[assignment]
+                        node_mbr = tree.node_mbr(node)
                         ctx.counters.nodes_visited += 1
                         if budget is not None:
                             budget.checkpoint("rtree-descent")
@@ -472,12 +453,12 @@ class NNCSearch:
                                     "entry-prune", counters=ctx.counters, target="node"
                                 ) as span:
                                     pruned = self._entry_pruned(
-                                        node.mbr, q_mbr, accepted, acc_idx, ctx, k
+                                        node_mbr, q_mbr, accepted, acc_idx, ctx, k
                                     )
                                     span.labels["pruned"] = pruned
                             else:
                                 pruned = self._entry_pruned(
-                                    node.mbr, q_mbr, accepted, acc_idx, ctx, k
+                                    node_mbr, q_mbr, accepted, acc_idx, ctx, k
                                 )
                         except RECOVERABLE_FAULTS as exc:
                             # An unpruned node only costs work, never
@@ -493,14 +474,14 @@ class NNCSearch:
                                 with tracer.span(
                                     "rtree-descent",
                                     counters=ctx.counters,
-                                    leaf=node.is_leaf,
+                                    leaf=tree.is_leaf(node),
                                 ) as span:
                                     span.labels["members"] = self._expand_node(
-                                        node, heap, counter, q_mbr, norm, batch, ctx
+                                        tree, node, heap, counter, q_mbr, norm, batch, ctx
                                     )
                             else:
                                 self._expand_node(
-                                    node, heap, counter, q_mbr, norm, batch, ctx
+                                    tree, node, heap, counter, q_mbr, norm, batch, ctx
                                 )
                         except RECOVERABLE_FAULTS as exc:
                             # Conservative subtree recovery: enqueue every
@@ -509,7 +490,7 @@ class NNCSearch:
                             # (`_expand_node` pushes nothing before its batch
                             # keying succeeds, so no member is half-pushed.)
                             ctx.note_unresolved("rtree-descent", _fault_reason(exc))
-                            for _, payload in _collect_entries(node):
+                            for payload in tree.entries(node):
                                 heapq.heappush(
                                     heap, (key, next(counter), 1, payload)
                                 )
@@ -599,7 +580,7 @@ class NNCSearch:
                 seen = {id(rec[0]) for rec in accepted}
                 for kind_, item_ in stash:
                     if kind_ == 0:
-                        members = [p for _, p in _collect_entries(item_)]
+                        members = tree.entries(item_)
                     else:
                         members = [item_]
                     for member in members:
@@ -670,30 +651,23 @@ class NNCSearch:
 
     @staticmethod
     def _expand_node(
-        node: RTreeNode, heap: list, counter, q_mbr, norm, batch: bool, ctx
+        tree: RTree, node: int, heap: list, counter, q_mbr, norm, batch: bool, ctx
     ) -> int:
         """Key a node's members and push them on the search heap.
 
         Returns the number of members pushed (a span label when tracing).
         """
-        members = node.entries if node.is_leaf else node.children
-        child_kind = 1 if node.is_leaf else 0
-        if batch and members:
+        leaf, los, his, members = tree.children(node)
+        if batch:
             # One broadcast keys the whole node's members at once.
-            los, his = node.packed()
             dists = K.children_mindist_box(
                 los, his, q_mbr.lo, q_mbr.hi, ctx.metric, counters=ctx.counters
             ).tolist()
-        elif node.is_leaf:
-            dists = [mbr.mindist_mbr(q_mbr, norm) for mbr, _ in node.entries]
         else:
-            dists = [
-                child.mbr.mindist_mbr(q_mbr, norm)  # type: ignore[union-attr]
-                for child in node.children
-            ]
+            dists = [MBR(lo, hi).mindist_mbr(q_mbr, norm) for lo, hi in zip(los, his)]
+        child_kind = 1 if leaf else 0
         for dist, member in zip(dists, members):
-            payload = member[1] if node.is_leaf else member
-            heapq.heappush(heap, (dist, next(counter), child_kind, payload))
+            heapq.heappush(heap, (dist, next(counter), child_kind, member))
         return len(members)
 
     def _dominator_count(
@@ -872,6 +846,19 @@ class NNCSearch:
                 if hits >= k:
                     return True
         return False
+
+
+def _global_tree(objects: list[UncertainObject]) -> RTree:
+    """STR-packed global R-tree over the objects' MBRs (payload: object).
+
+    Reaches :meth:`RTree.bulk_load` through this module's ``RTree`` name.
+    """
+    return RTree.bulk_load(
+        np.array([obj.mbr.lo for obj in objects]),
+        np.array([obj.mbr.hi for obj in objects]),
+        objects,
+        max_entries=GLOBAL_FANOUT,
+    )
 
 
 def nn_candidates(

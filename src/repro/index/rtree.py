@@ -1,618 +1,385 @@
-"""An R-tree built from scratch.
+"""An array-native R-tree with Sort-Tile-Recursive bulk loading.
 
-Supports the access patterns the paper's algorithms need:
+One tree serves both roles of the paper: the global tree over object MBRs
+that Algorithm 1 walks, and the fan-out-4 local tree over each object's
+instances that the level-by-level filters of Section 5.1 and F-SD's
+extreme-distance searches read.  Its storage is a handful of NumPy arrays,
+so shared-memory segments and snapshot files hold the tree as it is, and
+attaching one wraps views instead of rebuilding nodes.
 
-* **STR bulk loading** (Sort-Tile-Recursive) for building the global tree
-  over object MBRs and the local per-object instance trees;
-* **Guttman insertion** with quadratic split, so trees are also dynamic;
-* **range queries** by MBR intersection (used by the distance-vector range
-  trick of Section 5.1.2);
-* **best-first traversal** by ``mindist`` to a point or box — the engine of
-  Algorithm 1's min-heap and of the instance-level F-SD nearest /
-  furthest-neighbor searches;
-* **level partitions** — the disjoint groups of instances with their MBRs
-  and probability masses that the level-by-level pruning/validation of
-  Section 5.1 consumes.
+Layout (``N`` packed nodes, root first; ``n`` packed entries)::
+
+    lo, hi       (n, d)  entry boxes in leaf order
+    ids          (n,)    original index of each entry (its payload index)
+    node_lo/hi   (N, d)  node boxes
+    node_meta    (N, 3)  (is_leaf, first, count): a leaf's entries are
+                         lo[first:first + count], an internal node's
+                         children are nodes first .. first + count - 1
+    over_lo/hi   (k, d)  the overflow leaf's entry boxes, in insert order
+    over_ids     (k,)    their original indices
+
+Nodes are laid out level by level, each node's members in one contiguous
+run in STR member order, so the entries under any node form one slice.
+
+Inserted entries go to one **overflow leaf** (node id ``N``), which every
+search expands like any other leaf; once it holds more than
+``max_entries`` entries the whole tree is re-packed by :meth:`RTree.bulk_load`.
+The packed arrays are never written after construction, so a tree over
+read-only views (a pool worker's segment, a memory-mapped snapshot) takes
+inserts without touching the mapping.
+
+A tree keeps no per-query state: deadline budgets and metric sinks are
+passed per call.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, Iterator, Sequence
+import math
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.geometry.mbr import MBR, boxes_maxdist_point, boxes_mindist_point
 
+#: Fan-out of the global tree over object MBRs (a page-sized stand-in; the
+#: local instance trees use the paper's fan-out of 4).
+GLOBAL_FANOUT = 16
 
-class RTreeNode:
-    """A node of the R-tree.
-
-    Leaf nodes store ``(MBR, payload)`` entries; internal nodes store child
-    nodes.  ``mbr`` always bounds everything beneath the node.
-    """
-
-    __slots__ = ("mbr", "children", "entries", "is_leaf", "_packed")
-
-    def __init__(self, is_leaf: bool) -> None:
-        self.is_leaf = is_leaf
-        self.children: list[RTreeNode] = []
-        self.entries: list[tuple[MBR, Any]] = []
-        self.mbr: MBR | None = None
-        self._packed: tuple[np.ndarray, np.ndarray] | None = None
-
-    def recompute_mbr(self) -> None:
-        """Recompute this node's MBR from its members."""
-        self._packed = None  # member set changed; corner arrays are stale
-        boxes = (
-            [e[0] for e in self.entries] if self.is_leaf else [c.mbr for c in self.children]
-        )
-        if not boxes:
-            self.mbr = None
-            return
-        mbr = boxes[0]
-        for b in boxes[1:]:
-            mbr = mbr.union(b)  # type: ignore[union-attr]
-        self.mbr = mbr
-
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(los, his)`` corner arrays of the node's member boxes.
-
-        Cached until the member set changes (every structural mutation goes
-        through :meth:`recompute_mbr`, which invalidates the cache); feeds the
-        batched mindist/maxdist kernels used by best-first traversals.
-        """
-        if self._packed is None:
-            boxes = (
-                [e[0] for e in self.entries]
-                if self.is_leaf
-                else [c.mbr for c in self.children]
-            )
-            self._packed = (
-                np.stack([b.lo for b in boxes]),
-                np.stack([b.hi for b in boxes]),
-            )
-        return self._packed
-
-    def member_count(self) -> int:
-        """Number of entries or children in this node."""
-        return len(self.entries) if self.is_leaf else len(self.children)
+_ARRAYS = ("lo", "hi", "ids", "node_lo", "node_hi", "node_meta",
+           "over_lo", "over_hi", "over_ids")
 
 
 class RTree:
-    """R-tree over ``(MBR, payload)`` entries.
+    """R-tree over boxes ``[lo, hi]`` with optional payloads.
 
     Args:
-        max_entries: node fan-out (paper: 4 for local trees; larger for the
-            global tree).
-        min_entries: minimal fill; defaults to ``ceil(max_entries * 0.4)``.
+        max_entries: node fan-out (paper: 4 for local trees;
+            :data:`GLOBAL_FANOUT` for the global tree).
+
+    Payloads are the ``items`` given to :meth:`bulk_load` (each entry's
+    payload is ``items[i]`` for its original index ``i``); without items an
+    entry's payload is its index, e.g. the instance row of a local tree.
     """
 
-    def __init__(self, max_entries: int = 8, min_entries: int | None = None) -> None:
+    __slots__ = ("max_entries", "items") + _ARRAYS
+
+    def __init__(self, max_entries: int = 8) -> None:
         if max_entries < 2:
             raise ValueError("max_entries must be at least 2")
         self.max_entries = max_entries
-        self.min_entries = min_entries or max(1, int(np.ceil(max_entries * 0.4)))
-        if self.min_entries > max_entries // 2:
-            self.min_entries = max(1, max_entries // 2)
-        self.root = RTreeNode(is_leaf=True)
-        self._size = 0
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry` sink; when
-        #: set, best-first traversals count node visits under
-        #: ``repro_rtree_node_visits_total{tree=metrics_label, mode=...}``.
-        self.metrics = None
-        self.metrics_label = "local"
-        #: Optional :class:`repro.resilience.budget.Budget`; when set,
-        #: best-first traversals hit a deadline checkpoint per node visit
-        #: (set alongside ``metrics`` by the F-SD extreme-distance queries).
-        self.budget = None
+        self.items: list | None = None
+        empty_box = np.empty((0, 0))
+        empty_ids = np.empty(0, dtype=np.int64)
+        self.lo = self.hi = self.node_lo = self.node_hi = empty_box
+        self.over_lo = self.over_hi = empty_box
+        self.ids = self.over_ids = empty_ids
+        self.node_meta = np.empty((0, 3), dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.ids) + len(self.over_ids)
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
 
-    def __len__(self) -> int:
-        return self._size
-
     @classmethod
     def bulk_load(
         cls,
-        entries: Sequence[tuple[MBR, Any]],
+        lo: np.ndarray,
+        hi: np.ndarray,
+        items: Sequence[Any] | None = None,
         max_entries: int = 8,
-        min_entries: int | None = None,
     ) -> "RTree":
-        """Build a packed tree with Sort-Tile-Recursive loading."""
-        tree = cls(max_entries=max_entries, min_entries=min_entries)
-        if not entries:
+        """Pack boxes ``[lo[i], hi[i]]`` by Sort-Tile-Recursive loading.
+
+        Every level groups the centers of the level below with
+        :func:`_str_groups`; the grouped levels are then laid out from the
+        root down so each node's members are one contiguous run.
+        """
+        tree = cls(max_entries)
+        if items is not None:
+            tree.items = list(items)
+        if len(lo) == 0:
             return tree
-        tree._size = len(entries)
-        leaves: list[RTreeNode] = []
-        for chunk in _str_pack([(e[0].center, e) for e in entries], max_entries):
-            node = RTreeNode(is_leaf=True)
-            node.entries = [e for _, e in chunk]
-            node.recompute_mbr()
-            leaves.append(node)
-        level = leaves
-        while len(level) > 1:
-            parents: list[RTreeNode] = []
-            for chunk in _str_pack(
-                [(n.mbr.center, n) for n in level], max_entries  # type: ignore[union-attr]
-            ):
-                node = RTreeNode(is_leaf=False)
-                node.children = [n for _, n in chunk]
-                node.recompute_mbr()
-                parents.append(node)
-            level = parents
-        tree.root = level[0]
+        points = hi is lo  # point entries share one array
+        lo = np.asarray(lo, dtype=float)
+        hi = lo if points else np.asarray(hi, dtype=float)
+        # Bottom-up: (order, group starts, group sizes, group boxes) per level.
+        levels = []
+        box_lo, box_hi = lo, hi
+        while True:
+            order, sizes = _str_groups((box_lo + box_hi) / 2.0, max_entries)
+            starts = list(itertools.accumulate(sizes[:-1], initial=0))
+            box_lo = np.minimum.reduceat(box_lo[order], starts)
+            box_hi = np.maximum.reduceat(box_hi[order], starts)
+            levels.append((order.tolist(), starts, sizes, box_lo, box_hi))
+            if len(sizes) == 1:
+                break
+        # Top-down: lay each level's groups out in their parents' member
+        # order; a node's children start right after its own level.
+        groups = [0]
+        meta: list[tuple[int, int, int]] = []
+        node_lo, node_hi = [], []
+        for depth, (order, starts, sizes, box_lo, box_hi) in enumerate(reversed(levels)):
+            leaf = depth == len(levels) - 1
+            first = 0 if leaf else len(meta) + len(groups)
+            for g in groups:
+                meta.append((int(leaf), first, sizes[g]))
+                first += sizes[g]
+            node_lo.append(box_lo[groups])
+            node_hi.append(box_hi[groups])
+            groups = [m for g in groups for m in order[starts[g]:starts[g] + sizes[g]]]
+        perm = np.array(groups, dtype=np.int64)  # entry indices in leaf order
+        tree.lo = lo[perm]
+        tree.hi = tree.lo if points else hi[perm]
+        tree.ids = perm
+        tree.node_lo = np.concatenate(node_lo)
+        tree.node_hi = np.concatenate(node_hi)
+        tree.node_meta = np.array(meta, dtype=np.int64)
+        tree.over_lo = tree.over_hi = np.empty((0, lo.shape[1]))
         return tree
 
-    def insert(self, mbr: MBR, payload: Any) -> None:
-        """Guttman insertion with quadratic split."""
-        self._size += 1
-        leaf, path = self._choose_leaf(mbr)
-        leaf.entries.append((mbr, payload))
-        self._adjust_upwards(leaf, path)
+    def insert(self, lo: np.ndarray, hi: np.ndarray, payload: Any = None) -> None:
+        """Add one entry (original index ``len(self)``) to the overflow leaf.
 
-    def _choose_leaf(self, mbr: MBR) -> tuple[RTreeNode, list[RTreeNode]]:
-        node = self.root
-        path: list[RTreeNode] = []
-        while not node.is_leaf:
-            path.append(node)
-            best = min(
-                node.children,
-                key=lambda c: (
-                    c.mbr.enlargement(mbr),  # type: ignore[union-attr]
-                    c.mbr.volume(),  # type: ignore[union-attr]
-                ),
-            )
-            node = best
-        return node, path
-
-    def _adjust_upwards(self, node: RTreeNode, path: list[RTreeNode]) -> None:
-        node.recompute_mbr()
-        split = self._split_if_needed(node)
-        for parent in reversed(path):
-            if split is not None:
-                parent.children.append(split)
-            parent.recompute_mbr()
-            split = self._split_if_needed(parent)
-        if split is not None:
-            new_root = RTreeNode(is_leaf=False)
-            new_root.children = [self.root, split]
-            new_root.recompute_mbr()
-            self.root = new_root
-
-    def delete(self, mbr: MBR, payload: Any) -> bool:
-        """Remove one entry (matched by payload identity) from the tree.
-
-        Guttman deletion: locate the leaf through MBR containment, remove
-        the entry, then *condense* — underfull nodes along the path are
-        dissolved and their surviving entries reinserted — and finally cut a
-        single-child root.
-
-        Returns:
-            True when an entry was found and removed.
+        When the overflow holds more than ``max_entries`` entries the tree is
+        re-packed by :meth:`bulk_load` over every entry in original order —
+        the tree a fresh bulk load would build.
         """
-        path = self._find_leaf(self.root, mbr, payload, [])
-        if path is None:
-            return False
-        leaf = path[-1]
-        leaf.entries = [e for e in leaf.entries if e[1] is not payload]
-        leaf.recompute_mbr()  # also invalidates the packed corner cache
-        self._size -= 1
-        orphans: list[tuple[MBR, Any]] = []
-        # Condense from the leaf upwards.
-        for depth in range(len(path) - 1, 0, -1):
-            node = path[depth]
-            parent = path[depth - 1]
-            underfull = node.member_count() < self.min_entries
-            if underfull:
-                parent.children.remove(node)
-                orphans.extend(_collect_entries(node))
-            parent.recompute_mbr()
-        self.root.recompute_mbr()
-        if not self.root.is_leaf and len(self.root.children) == 1:
-            self.root = self.root.children[0]
-        if not self.root.is_leaf and not self.root.children:
-            self.root = RTreeNode(is_leaf=True)
-        for entry_mbr, entry_payload in orphans:
-            self._size -= 1  # insert() re-increments
-            self.insert(entry_mbr, entry_payload)
-        return True
+        row_lo = np.asarray(lo, dtype=float)[None, :]
+        row_hi = np.asarray(hi, dtype=float)[None, :]
+        if self.items is not None:
+            self.items.append(payload)
+        index = len(self)
+        if len(self.over_ids):
+            row_lo = np.concatenate([self.over_lo, row_lo])
+            row_hi = np.concatenate([self.over_hi, row_hi])
+        self.over_lo, self.over_hi = row_lo, row_hi
+        self.over_ids = np.append(self.over_ids, index)
+        if len(self.over_ids) > self.max_entries:
+            self._repack()
 
-    def _find_leaf(
-        self,
-        node: RTreeNode,
-        mbr: MBR,
-        payload: Any,
-        path: list[RTreeNode],
-    ) -> list[RTreeNode] | None:
-        path = path + [node]
-        if node.is_leaf:
-            if any(e[1] is payload for e in node.entries):
-                return path
-            return None
-        for child in node.children:
-            if child.mbr is not None and child.mbr.contains(mbr):
-                found = self._find_leaf(child, mbr, payload, path)
-                if found is not None:
-                    return found
-        # Fall back to intersecting children (MBRs may have been built from
-        # unions that no longer tightly contain the entry).
-        for child in node.children:
-            if child.mbr is not None and child.mbr.intersects(mbr):
-                found = self._find_leaf(child, mbr, payload, path)
-                if found is not None:
-                    return found
-        return None
+    def _repack(self) -> None:
+        ids = np.concatenate([self.ids, self.over_ids])
+        d = self.over_lo.shape[1]
+        lo = np.empty((len(ids), d))
+        hi = np.empty((len(ids), d))
+        lo[ids] = np.concatenate([self.lo.reshape(-1, d), self.over_lo])
+        hi[ids] = np.concatenate([self.hi.reshape(-1, d), self.over_hi])
+        fresh = RTree.bulk_load(lo, hi, self.items, self.max_entries)
+        for name in ("items",) + _ARRAYS:
+            setattr(self, name, getattr(fresh, name))
 
-    def _split_if_needed(self, node: RTreeNode) -> RTreeNode | None:
-        if node.member_count() <= self.max_entries:
-            return None
-        if node.is_leaf:
-            groups = _quadratic_split(
-                node.entries, key=lambda e: e[0], min_fill=self.min_entries
-            )
-            node.entries = groups[0]
-            sibling = RTreeNode(is_leaf=True)
-            sibling.entries = groups[1]
-        else:
-            groups = _quadratic_split(
-                node.children, key=lambda c: c.mbr, min_fill=self.min_entries
-            )
-            node.children = groups[0]
-            sibling = RTreeNode(is_leaf=False)
-            sibling.children = groups[1]
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-        return sibling
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The tree's storage by name, overflow included (see :meth:`wrap`)."""
+        return {name: getattr(self, name) for name in _ARRAYS}
+
+    @classmethod
+    def wrap(
+        cls,
+        arrays: dict[str, np.ndarray],
+        items: Sequence[Any] | None = None,
+        max_entries: int = 8,
+    ) -> "RTree":
+        """A tree over stored :meth:`arrays`, without copying them.
+
+        The arrays may be read-only views (a shared-memory segment, a
+        memory-mapped snapshot): inserts never write into them.
+        """
+        tree = cls(max_entries)
+        for name in _ARRAYS:
+            setattr(tree, name, arrays[name])
+        if items is not None:
+            tree.items = list(items)
+        return tree
 
     # ------------------------------------------------------------------ #
-    # Queries
+    # Navigation (the primitives Algorithm 1 and top-k walk)
     # ------------------------------------------------------------------ #
 
-    def range_search(self, box: MBR) -> list[tuple[MBR, Any]]:
-        """All entries whose MBR intersects ``box``."""
-        out: list[tuple[MBR, Any]] = []
-        if self.root.mbr is None:
-            return out
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.mbr is None or not node.mbr.intersects(box):
-                continue
-            if node.is_leaf:
-                out.extend(e for e in node.entries if e[0].intersects(box))
-            else:
-                stack.extend(node.children)
+    def roots(self) -> list[int]:
+        """Top-level node ids: the packed root, then the overflow leaf."""
+        out = [0] if len(self.node_meta) else []
+        if len(self.over_ids):
+            out.append(len(self.node_meta))
         return out
 
-    def all_entries(self) -> list[tuple[MBR, Any]]:
-        """Every entry in the tree (leaf order)."""
-        out: list[tuple[MBR, Any]] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.extend(node.entries)
-            else:
-                stack.extend(node.children)
-        return out
+    def is_leaf(self, node: int) -> bool:
+        """Whether ``node`` holds entries rather than child nodes."""
+        return node == len(self.node_meta) or bool(self.node_meta[node, 0])
 
-    def nearest(self, point: np.ndarray, k: int = 1) -> list[tuple[float, Any]]:
-        """``k`` nearest entries to ``point`` by MBR mindist (exact for
-        point entries)."""
-        return self._best_first(lambda m: m.mindist(point), k)
+    def node_mbr(self, node: int) -> MBR:
+        """Bounding box of ``node`` (the overflow leaf's is computed)."""
+        if node == len(self.node_meta):
+            return MBR(self.over_lo.min(axis=0), self.over_hi.max(axis=0))
+        return MBR(self.node_lo[node], self.node_hi[node])
 
-    def nearest_distance(self, point: np.ndarray, *, batch: bool = True) -> float:
+    def bounds(self) -> MBR | None:
+        """Box covering every entry, overflow included (None when empty)."""
+        boxes = [self.node_mbr(node) for node in self.roots()]
+        if not boxes:
+            return None
+        return boxes[0] if len(boxes) == 1 else boxes[0].union(boxes[1])
+
+    def children(self, node: int) -> tuple[bool, np.ndarray, np.ndarray, Sequence]:
+        """``(is_leaf, los, his, members)`` of one node.
+
+        ``members`` are the child node ids of an internal node, or the
+        payloads of a leaf's entries; ``los``/``his`` are their boxes.
+        """
+        if node == len(self.node_meta):
+            return True, self.over_lo, self.over_hi, self._payloads(self.over_ids)
+        leaf, first, count = self.node_meta[node].tolist()
+        stop = first + count
+        if leaf:
+            return (
+                True, self.lo[first:stop], self.hi[first:stop],
+                self._payloads(self.ids[first:stop]),
+            )
+        return False, self.node_lo[first:stop], self.node_hi[first:stop], range(first, stop)
+
+    def entries(self, node: int) -> list:
+        """Payloads of every entry under ``node``, in leaf order."""
+        return self._payloads(self._ids_under(node))
+
+    def _ids_under(self, node: int) -> np.ndarray:
+        meta = self.node_meta
+        if node == len(meta):
+            return self.over_ids
+        first = last = node
+        while not meta[first, 0]:
+            first = meta[first, 1]
+        while not meta[last, 0]:
+            last = meta[last, 1] + meta[last, 2] - 1
+        return self.ids[meta[first, 1]: meta[last, 1] + meta[last, 2]]
+
+    def _payloads(self, ids: np.ndarray) -> list:
+        if self.items is None:
+            return ids.tolist()
+        items = self.items
+        return [items[i] for i in ids.tolist()]
+
+    # ------------------------------------------------------------------ #
+    # Extreme distances (F-SD's per-vertex local-tree searches)
+    # ------------------------------------------------------------------ #
+
+    def nearest_distance(
+        self, point: np.ndarray, *, batch: bool = True, budget=None, metrics=None
+    ) -> float:
         """``delta_min(point, entries)`` — distance of the nearest entry.
 
-        With ``batch`` (default) each visited node keys all its members in
-        one broadcast over the packed corner arrays; ``batch=False`` is the
-        scalar per-member reference path.
+        Best-first on ``mindist``.  With ``batch`` (default) each visited
+        node keys all its members in one broadcast; ``batch=False`` is the
+        scalar per-member reference path.  ``budget`` gets a deadline
+        checkpoint per node visit; ``metrics`` counts the visits under
+        ``repro_rtree_node_visits_total{tree="local", mode="nearest"}``.
         """
-        if not batch:
-            result = self.nearest(point, k=1)
-            if not result:
-                raise ValueError("tree is empty")
-            return result[0][0]
-        return self._extreme_distance_batch(point, farthest=False)
+        return self._extreme(point, False, batch, budget, metrics)
 
-    def farthest_distance(self, point: np.ndarray, *, batch: bool = True) -> float:
+    def farthest_distance(
+        self, point: np.ndarray, *, batch: bool = True, budget=None, metrics=None
+    ) -> float:
         """``delta_max(point, entries)`` — distance of the farthest entry.
 
         Best-first search on **negated maxdist**: a node's maxdist upper
-        bounds the maxdist of everything below it.  ``batch`` keys each
-        visited node's members in one broadcast.
+        bounds the maxdist of everything below it.  Arguments as for
+        :meth:`nearest_distance`.
         """
-        if batch:
-            return self._extreme_distance_batch(point, farthest=True)
-        if self.root.mbr is None:
-            raise ValueError("tree is empty")
-        counter = itertools.count()
-        heap: list[tuple[float, int, bool, Any]] = [
-            (-self.root.mbr.maxdist(point), next(counter), False, self.root)
-        ]
-        while heap:
-            neg, _, is_entry, item = heapq.heappop(heap)
-            if is_entry:
-                return -neg
-            node: RTreeNode = item
-            if node.is_leaf:
-                for mbr, payload in node.entries:
-                    heapq.heappush(
-                        heap, (-mbr.maxdist(point), next(counter), True, payload)
-                    )
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap,
-                        (-child.mbr.maxdist(point), next(counter), False, child),  # type: ignore[union-attr]
-                    )
-        raise ValueError("tree is empty")
+        return self._extreme(point, True, batch, budget, metrics)
 
-    def _extreme_distance_batch(self, point: np.ndarray, *, farthest: bool) -> float:
-        """Best-first nearest/farthest entry distance with batched bounds.
-
-        Heap keys are ``mindist`` (or negated ``maxdist``), computed for all
-        members of a popped node in one call on its packed corner arrays.
-        """
-        if self.root.mbr is None:
-            raise ValueError("tree is empty")
+    def _extreme(self, point, farthest: bool, batch: bool, budget, metrics) -> float:
         p = np.asarray(point, dtype=float)
-        bound = self.root.mbr.maxdist(p) if farthest else self.root.mbr.mindist(p)
         sign = -1.0 if farthest else 1.0
         counter = itertools.count()
-        heap: list[tuple[float, int, bool, Any]] = [
-            (sign * bound, next(counter), False, self.root)
-        ]
+        heap: list[tuple[float, int, bool, int]] = []
+        for node in self.roots():
+            mbr = self.node_mbr(node)
+            bound = mbr.maxdist(p) if farthest else mbr.mindist(p)
+            heapq.heappush(heap, (sign * bound, next(counter), False, node))
         visits = 0
         while heap:
-            key, _, is_entry, item = heapq.heappop(heap)
+            key, _, is_entry, node = heapq.heappop(heap)
             if is_entry:
-                if self.metrics is not None and visits:
-                    self.metrics.inc(
+                if metrics is not None and visits:
+                    metrics.inc(
                         "repro_rtree_node_visits_total",
                         visits,
-                        {
-                            "tree": self.metrics_label,
-                            "mode": "farthest" if farthest else "nearest",
-                        },
+                        {"tree": "local", "mode": "farthest" if farthest else "nearest"},
                     )
                 return sign * key
-            node: RTreeNode = item
             visits += 1
-            if self.budget is not None:
-                self.budget.checkpoint("rtree-descent")
-            if node.member_count() == 0:
-                continue
-            los, his = node.packed()
-            if farthest:
-                dists = boxes_maxdist_point(los, his, p)
+            if budget is not None:
+                budget.checkpoint("rtree-descent")
+            leaf, los, his, members = self.children(node)
+            if batch:
+                kernel = boxes_maxdist_point if farthest else boxes_mindist_point
+                dists = kernel(los, his, p).tolist()
+            elif farthest:
+                dists = [MBR(a, b).maxdist(p) for a, b in zip(los, his)]
             else:
-                dists = boxes_mindist_point(los, his, p)
-            if node.is_leaf:
-                for d, (_, payload) in zip(dists.tolist(), node.entries):
-                    heapq.heappush(heap, (sign * d, next(counter), True, payload))
-            else:
-                for d, child in zip(dists.tolist(), node.children):
-                    heapq.heappush(heap, (sign * d, next(counter), False, child))
+                dists = [MBR(a, b).mindist(p) for a, b in zip(los, his)]
+            for d, member in zip(dists, members):
+                heapq.heappush(heap, (sign * d, next(counter), leaf, member))
         raise ValueError("tree is empty")
-
-    def _best_first(
-        self, score: Callable[[MBR], float], k: int
-    ) -> list[tuple[float, Any]]:
-        out: list[tuple[float, Any]] = []
-        if self.root.mbr is None:
-            return out
-        counter = itertools.count()
-        heap: list[tuple[float, int, bool, Any]] = [
-            (score(self.root.mbr), next(counter), False, self.root)
-        ]
-        visits = 0
-        while heap and len(out) < k:
-            dist, _, is_entry, item = heapq.heappop(heap)
-            if is_entry:
-                out.append((dist, item))
-                continue
-            node: RTreeNode = item
-            visits += 1
-            if self.budget is not None:
-                self.budget.checkpoint("rtree-descent")
-            if node.is_leaf:
-                for mbr, payload in node.entries:
-                    heapq.heappush(heap, (score(mbr), next(counter), True, payload))
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap, (score(child.mbr), next(counter), False, child)  # type: ignore[union-attr]
-                    )
-        if self.metrics is not None and visits:
-            self.metrics.inc(
-                "repro_rtree_node_visits_total",
-                visits,
-                {"tree": self.metrics_label, "mode": "best-first"},
-            )
-        return out
-
-    def incremental_by_mindist(
-        self, box: MBR
-    ) -> Iterator[tuple[float, bool, MBR, Any]]:
-        """Yield nodes and entries in non-decreasing mindist to ``box``.
-
-        Yields ``(mindist, is_entry, mbr, item)`` where ``item`` is a payload
-        for entries and the :class:`RTreeNode` for internal nodes — the
-        traversal primitive behind Algorithm 1.  The consumer may ``send``
-        ``False`` to prune a just-yielded node's subtree.
-        """
-        if self.root.mbr is None:
-            return
-        counter = itertools.count()
-        heap: list[tuple[float, int, bool, MBR, Any]] = [
-            (self.root.mbr.mindist_mbr(box), next(counter), False, self.root.mbr, self.root)
-        ]
-        while heap:
-            dist, _, is_entry, mbr, item = heapq.heappop(heap)
-            expand = yield (dist, is_entry, mbr, item)
-            if is_entry or expand is False:
-                continue
-            node: RTreeNode = item
-            if node.is_leaf:
-                for embr, payload in node.entries:
-                    heapq.heappush(
-                        heap,
-                        (embr.mindist_mbr(box), next(counter), True, embr, payload),
-                    )
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap,
-                        (
-                            child.mbr.mindist_mbr(box),  # type: ignore[union-attr]
-                            next(counter),
-                            False,
-                            child.mbr,
-                            child,
-                        ),
-                    )
 
     # ------------------------------------------------------------------ #
     # Level partitions (Section 5.1 level-by-level filters)
     # ------------------------------------------------------------------ #
 
-    def partitions(self, min_groups: int) -> list[tuple[MBR, list[Any]]]:
+    def partitions(self, min_groups: int) -> list[tuple[MBR, np.ndarray]]:
         """Disjoint groups covering all entries, at least ``min_groups`` of
         them when possible.
 
-        Descends breadth-first from the root until the frontier holds
-        ``min_groups`` nodes (or leaves are reached), then reports each
-        frontier node as ``(mbr, payloads)``.
+        Starting from the top-level nodes, repeatedly replaces the largest
+        (by volume) internal node of the frontier with its children until
+        the frontier holds ``min_groups`` nodes or only leaves; reports each
+        frontier node as ``(mbr, ids)`` with the original indices of the
+        entries under it.
         """
-        if self.root.mbr is None:
-            return []
-        frontier: list[RTreeNode] = [self.root]
+        frontier = self.roots()
         while len(frontier) < min_groups:
-            expandable = [n for n in frontier if not n.is_leaf]
+            expandable = [n for n in frontier if not self.is_leaf(n)]
             if not expandable:
                 break
-            node = max(expandable, key=lambda n: n.mbr.volume())  # type: ignore[union-attr]
+            node = max(expandable, key=lambda n: self.node_mbr(n).volume())
             frontier.remove(node)
-            frontier.extend(node.children)
-        out: list[tuple[MBR, list[Any]]] = []
-        for node in frontier:
-            payloads = [payload for _, payload in _collect_entries(node)]
-            out.append((node.mbr, payloads))  # type: ignore[arg-type]
-        return out
-
-    def height(self) -> int:
-        """Tree height (1 for a single leaf root)."""
-        h = 1
-        node = self.root
-        while not node.is_leaf:
-            h += 1
-            node = node.children[0]
-        return h
+            _, first, count = self.node_meta[node].tolist()
+            frontier.extend(range(first, first + count))
+        return [(self.node_mbr(node), self._ids_under(node)) for node in frontier]
 
 
-def _quadratic_split(
-    items: list, key: Callable[[Any], MBR], min_fill: int
-) -> tuple[list, list]:
-    """Guttman's quadratic split of an overflowing node's members.
+def _str_groups(centers: np.ndarray, capacity: int) -> tuple[np.ndarray, list[int]]:
+    """Sort-Tile-Recursive grouping of ``centers`` (shape ``(n, d)``).
 
-    Seeds are the pair wasting the most dead space; remaining members go to
-    the group whose MBR they enlarge least, with the minimum-fill constraint
-    enforced at the tail.
+    Returns the packing order (a permutation of ``range(n)``) and the sizes
+    of the consecutive groups it splits into.  A run of more than
+    ``capacity`` points is stably sorted on the current coordinate and cut
+    into ``ceil(groups ** (1 / dims_left))`` slabs, each tiled on the next
+    coordinate; on the last coordinate it is cut into runs of ``capacity``.
+    A run that fits one group keeps its order.
     """
-    boxes = [key(item) for item in items]
-    n = len(items)
-    # Seed selection: maximize union volume minus individual volumes.
-    worst = -np.inf
-    seed_a, seed_b = 0, 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            waste = (
-                boxes[i].union(boxes[j]).volume()
-                - boxes[i].volume()
-                - boxes[j].volume()
-            )
-            if waste > worst:
-                worst = waste
-                seed_a, seed_b = i, j
-    group_a = [items[seed_a]]
-    group_b = [items[seed_b]]
-    mbr_a, mbr_b = boxes[seed_a], boxes[seed_b]
-    remaining = [k for k in range(n) if k not in (seed_a, seed_b)]
-    while remaining:
-        # Enforce minimum fill when one group is starving.
-        if len(group_a) + len(remaining) <= min_fill:
-            for k in remaining:
-                group_a.append(items[k])
-                mbr_a = mbr_a.union(boxes[k])
-            break
-        if len(group_b) + len(remaining) <= min_fill:
-            for k in remaining:
-                group_b.append(items[k])
-                mbr_b = mbr_b.union(boxes[k])
-            break
-        # Pick the member with the strongest group preference.
-        best_k = None
-        best_diff = -np.inf
-        best_costs = (0.0, 0.0)
-        for k in remaining:
-            cost_a = mbr_a.union(boxes[k]).volume() - mbr_a.volume()
-            cost_b = mbr_b.union(boxes[k]).volume() - mbr_b.volume()
-            diff = abs(cost_a - cost_b)
-            if diff > best_diff:
-                best_diff = diff
-                best_k = k
-                best_costs = (cost_a, cost_b)
-        remaining.remove(best_k)
-        cost_a, cost_b = best_costs
-        prefer_a = cost_a < cost_b or (
-            cost_a == cost_b and len(group_a) <= len(group_b)
-        )
-        if prefer_a:
-            group_a.append(items[best_k])
-            mbr_a = mbr_a.union(boxes[best_k])
-        else:
-            group_b.append(items[best_k])
-            mbr_b = mbr_b.union(boxes[best_k])
-    return group_a, group_b
+    dims = centers.shape[1]
+    parts: list[np.ndarray] = []
+    sizes: list[int] = []
 
+    def tile(idx: np.ndarray, axis: int) -> None:
+        count = len(idx)
+        n_groups = -(-count // capacity)
+        if n_groups <= 1:
+            parts.append(idx)
+            sizes.append(count)
+            return
+        idx = idx[centers[idx, axis].argsort(kind="stable")]
+        left = dims - axis
+        if left == 1:
+            parts.append(idx)
+            sizes.extend([capacity] * (n_groups - 1) + [count - capacity * (n_groups - 1)])
+            return
+        slab = -(-count // math.ceil(n_groups ** (1.0 / left)))
+        for start in range(0, count, slab):
+            tile(idx[start:start + slab], axis + 1)
 
-def _collect_entries(node: RTreeNode) -> Iterable[tuple[MBR, Any]]:
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.is_leaf:
-            yield from n.entries
-        else:
-            stack.extend(n.children)
-
-
-def _str_pack(
-    items: list[tuple[np.ndarray, Any]], capacity: int
-) -> list[list[tuple[np.ndarray, Any]]]:
-    """Sort-Tile-Recursive packing of (center, item) pairs into groups."""
-    if not items:
-        return []
-    dim = len(items[0][0])
-    count = len(items)
-    n_groups = int(np.ceil(count / capacity))
-    if n_groups <= 1:
-        return [items]
-    items = sorted(items, key=lambda it: float(it[0][0]))
-    if dim == 1:
-        return [items[i : i + capacity] for i in range(0, count, capacity)]
-    # Number of vertical slabs: ceil(sqrt-style tiling over remaining dims).
-    slab_count = int(np.ceil(n_groups ** (1.0 / dim)))
-    slab_size = int(np.ceil(count / slab_count))
-    groups: list[list[tuple[np.ndarray, Any]]] = []
-    for start in range(0, count, slab_size):
-        slab = items[start : start + slab_size]
-        slab = [(c[1:], it) for c, it in slab]
-        packed = _str_pack(slab, capacity)
-        for grp in packed:
-            groups.append([(None, it) for _, it in grp])  # centers no longer needed
-    return groups
+    tile(np.arange(len(centers)), 0)
+    return np.concatenate(parts), sizes

@@ -95,15 +95,17 @@ class UncertainObject:
         return self._mbr
 
     def local_rtree(self, fanout: int = 4) -> "RTree":
-        """Local R-tree over the instances (fan-out 4 as in the paper)."""
+        """Local R-tree over the instances (fan-out 4 as in the paper).
+
+        Entries are the rows of :attr:`points`; an entry's payload is its
+        row index, which also indexes :attr:`probs`.
+        """
         if self._local_tree is None:
             from repro.index.rtree import RTree
 
-            entries = [
-                (MBR(p, p), (i, float(self.probs[i])))
-                for i, p in enumerate(self.points)
-            ]
-            self._local_tree = RTree.bulk_load(entries, max_entries=fanout)
+            self._local_tree = RTree.bulk_load(
+                self.points, self.points, max_entries=fanout
+            )
         return self._local_tree
 
     # ------------------------------------------------------------------ #

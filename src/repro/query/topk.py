@@ -24,7 +24,7 @@ import numpy as np
 from repro.functions import n3
 from repro.functions.base import StableAggregate
 from repro.geometry.mbr import MBR
-from repro.index.rtree import RTree, RTreeNode
+from repro.index.rtree import GLOBAL_FANOUT, RTree
 from repro.objects.uncertain import UncertainObject
 from repro.query.bounds import hausdorff_lower_bound, mbr_score_bounds
 
@@ -94,12 +94,14 @@ class FunctionTopK:
         objects: the dataset; one global R-tree serves every query/scorer.
     """
 
-    def __init__(
-        self, objects: Sequence[UncertainObject], global_fanout: int = 16
-    ) -> None:
+    def __init__(self, objects: Sequence[UncertainObject]) -> None:
         self.objects = list(objects)
-        entries = [(obj.mbr, obj) for obj in self.objects]
-        self.tree = RTree.bulk_load(entries, max_entries=global_fanout)
+        self.tree = RTree.bulk_load(
+            np.array([obj.mbr.lo for obj in self.objects]),
+            np.array([obj.mbr.hi for obj in self.objects]),
+            self.objects,
+            max_entries=GLOBAL_FANOUT,
+        )
 
     def query(
         self,
@@ -127,11 +129,11 @@ class FunctionTopK:
         counter = itertools.count()
         heap: list[tuple[float, int, int, object]] = []
         # kinds: 0 = tree node, 1 = object awaiting exact score, 2 = scored.
-        root = self.tree.root
+        tree = self.tree
         self.last_exact_scores = 0
-        if root.mbr is None:
-            return []
-        heapq.heappush(heap, (scorer.bound(root.mbr, query), next(counter), 0, root))
+        for node in tree.roots():
+            bound = scorer.bound(tree.node_mbr(node), query)
+            heapq.heappush(heap, (bound, next(counter), 0, node))
         out: list[tuple[float, UncertainObject]] = []
         while heap and len(out) < k:
             key, _, kind, item = heapq.heappop(heap)
@@ -144,23 +146,10 @@ class FunctionTopK:
                 exact = scorer.exact(obj, query)
                 heapq.heappush(heap, (exact, next(counter), 2, obj))
                 continue
-            node: RTreeNode = item  # type: ignore[assignment]
-            if node.is_leaf:
-                for mbr, obj in node.entries:
-                    heapq.heappush(
-                        heap, (scorer.bound(mbr, query), next(counter), 1, obj)
-                    )
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap,
-                        (
-                            scorer.bound(child.mbr, query),  # type: ignore[arg-type]
-                            next(counter),
-                            0,
-                            child,
-                        ),
-                    )
+            leaf, los, his, members = tree.children(item)  # type: ignore[arg-type]
+            for lo, hi, member in zip(los, his, members):
+                bound = scorer.bound(MBR(lo, hi), query)
+                heapq.heappush(heap, (bound, next(counter), 1 if leaf else 0, member))
         return out
 
 

@@ -288,7 +288,6 @@ def replay_audit(
     *,
     shards: int = 1,
     partitioner: str = "round-robin",
-    global_fanout: int = 16,
     kernels: bool = True,
 ) -> ReplayReport:
     """Re-execute an audit log against ``objects`` and verify digests.
@@ -307,7 +306,6 @@ def replay_audit(
         list(objects),
         shards=shards,
         partitioner=partitioner,
-        global_fanout=global_fanout,
         compact_threshold=1.0,
     )
     report = ReplayReport(records=len(records))

@@ -18,14 +18,16 @@ Snapshot file format (``snap-<epoch>.snap``, atomic tmp+rename)::
     [8B magic "RSNAP1\\n\\0"][u64 manifest_len][manifest JSON][pad to 64]
     [shard 0 blob][pad][shard 1 blob][pad]...
 
-Each shard blob is exactly a :func:`repro.serve.shm.pack_shard` segment —
-the same preorder-flattened R-tree + instance-matrix layout the pool
+The manifest's ``version`` names the shard-blob layout (:data:`SNAP_VERSION`);
+a snapshot of any other version is refused, never half-read.  Each shard
+blob is exactly a :func:`repro.serve.shm.pack_shard` segment — the
+instance matrices plus the R-tree's own arrays, the layout the pool
 backend publishes to shared memory — so :func:`repro.serve.shm
-.unpack_shard` rebuilds a structurally identical search from a memory-map
+.unpack_shard` attaches a structurally identical search to a memory-map
 without copying: instance matrices, probability vectors, MBR corners, and
-R-tree node boxes are read-only views into the mapped file.  Objects
-larger than RAM page in lazily; :meth:`Snapshot.warm` optionally touches
-one byte per page up front so first-query latency is paid at startup.
+R-tree arrays are read-only views into the mapped file.  Objects larger
+than RAM page in lazily; :meth:`Snapshot.warm` optionally touches one
+byte per page up front so first-query latency is paid at startup.
 
 Crash-exactness contract: under ``fsync=always`` (the default) every
 epoch a client saw an acknowledgement for is recoverable after SIGKILL at
@@ -69,6 +71,9 @@ __all__ = [
 ]
 
 SNAP_MAGIC = b"RSNAP1\n\0"
+#: Manifest ``version`` of the shard-blob layout this module reads and
+#: writes (2: the R-tree's own arrays, see :func:`repro.serve.shm.pack_shard`).
+SNAP_VERSION = 2
 _SNAP_GLOB = "snap-*.snap"
 _PAGE = 4096
 _MAX_MANIFEST = 64 * 1024 * 1024
@@ -80,8 +85,9 @@ class RecoveryError(RuntimeError):
     """Recovery could not reconstruct a consistent dataset.
 
     Raised when WAL replay lands on a different epoch than the frame
-    recorded — serving would hand out answers for a dataset that never
-    existed, so the manager refuses to come up instead.
+    recorded, or when snapshot files exist but none of them loads —
+    serving would hand out answers for a dataset that never existed, so
+    the manager refuses to come up instead.
     """
 
 
@@ -141,7 +147,7 @@ def write_snapshot(
         spans.append([off, len(blob), zlib.crc32(blob)])
         off += _aligned(len(blob))
     manifest = {
-        "version": 1,
+        "version": SNAP_VERSION,
         "epoch": epoch,
         "wal_seq": wal_seq,
         "shards": len(blobs),
@@ -200,7 +206,7 @@ def load_snapshot(path: str | Path, *, verify: bool = True) -> Snapshot:
 
     Raises:
         ValueError: the file is not a valid snapshot (bad magic, manifest,
-            span bounds, or CRC).
+            layout version, span bounds, or CRC).
     """
     path = Path(path)
     mm = np.memmap(path, dtype=np.uint8, mode="r")
@@ -216,6 +222,11 @@ def load_snapshot(path: str | Path, *, verify: bool = True) -> Snapshot:
         manifest = json.loads(bytes(buf[mstart: mstart + mlen]))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: manifest is not valid JSON: {exc}")
+    if manifest.get("version") != SNAP_VERSION:
+        raise ValueError(
+            f"{path}: snapshot layout version {manifest.get('version')!r}, "
+            f"this build reads version {SNAP_VERSION}"
+        )
     data_start = _aligned(mstart + mlen)
     searches: list[NNCSearch] = []
     for j, (off, length, crc) in enumerate(manifest["spans"]):
@@ -351,7 +362,7 @@ class DurableDatasetManager(DatasetManager):
             invoke :meth:`recover` before serving engine traffic (the
             HTTP layer answers 503 ``retryable`` meanwhile).
         **kwargs: the :class:`DatasetManager` knobs (shards, partitioner,
-            backend, global_fanout, on_invalid, compact_threshold,
+            backend, on_invalid, compact_threshold,
             metrics, workers, start_method, profile_hz).
     """
 
@@ -369,7 +380,6 @@ class DurableDatasetManager(DatasetManager):
         shards: int = 1,
         partitioner: str = "round-robin",
         backend: str = "serial",
-        global_fanout: int = 16,
         on_invalid: str = "strict",
         compact_threshold: float = 0.3,
         metrics: Any = None,
@@ -388,7 +398,6 @@ class DurableDatasetManager(DatasetManager):
             "shards": shards,
             "partitioner": partitioner,
             "backend": backend,
-            "global_fanout": global_fanout,
             "workers": workers,
             "start_method": start_method,
             "profile_hz": profile_hz,
@@ -405,8 +414,7 @@ class DurableDatasetManager(DatasetManager):
         # layer's `recovering` 503 until recover() swaps the real data in.
         self._init_from_search(
             ShardedSearch([], shards=shards, partitioner=partitioner,
-                          backend=backend, global_fanout=global_fanout,
-                          metrics=metrics, workers=workers,
+                          backend=backend, metrics=metrics, workers=workers,
                           start_method=start_method, profile_hz=profile_hz),
             on_invalid=on_invalid,
             compact_threshold=compact_threshold,
@@ -435,6 +443,15 @@ class DurableDatasetManager(DatasetManager):
                 path=str(wal_path), **torn.to_dict(),
             )
         found = _load_latest(self.data_dir)
+        if found is None:
+            unreadable = sorted(p.name for p in self.data_dir.glob(_SNAP_GLOB))
+            if unreadable:
+                # Booting cold here would serve an empty dataset over the
+                # durable one (and prune the files it could not read).
+                raise RecoveryError(
+                    f"no snapshot in {self.data_dir} loads: "
+                    f"{', '.join(unreadable)}"
+                )
         handle: Snapshot | None = None
         base_epoch = 0
         snap_wal_seq = None
@@ -455,7 +472,6 @@ class DurableDatasetManager(DatasetManager):
                     handle.searches,
                     partitioner=cfg["partitioner"],
                     backend=cfg["backend"],
-                    global_fanout=cfg["global_fanout"],
                     metrics=self.metrics,
                     workers=cfg["workers"],
                     start_method=cfg["start_method"],
@@ -542,7 +558,6 @@ class DurableDatasetManager(DatasetManager):
             shards=cfg["shards"],
             partitioner=cfg["partitioner"],
             backend=cfg["backend"],
-            global_fanout=cfg["global_fanout"],
             metrics=self.metrics,
             workers=cfg["workers"],
             start_method=cfg["start_method"],
@@ -682,7 +697,6 @@ class DurableDatasetManager(DatasetManager):
             wal_seq=self.wal.seq if self.wal is not None else 0,
             extra={
                 "partitioner": self._cfg["partitioner"],
-                "fanout": self._cfg["global_fanout"],
                 "objects": len(self._registry),
             },
             metrics=self.metrics,

@@ -287,7 +287,6 @@ class ShardedSearch:
         shards: number of shards K.
         partitioner: one of :data:`PARTITIONERS`.
         backend: one of :data:`BACKENDS`.
-        global_fanout: R-tree fan-out per shard.
         metrics: optional :class:`repro.obs.metrics.MetricsRegistry`; feeds
             the ``repro_serve_shard_fanout`` histogram per query.
         workers: worker-process count for the ``pool`` backend (default:
@@ -309,7 +308,6 @@ class ShardedSearch:
         shards: int = 1,
         partitioner: str = "round-robin",
         backend: str = "serial",
-        global_fanout: int = 16,
         metrics: Any = None,
         workers: int | None = None,
         start_method: str | None = None,
@@ -329,12 +327,11 @@ class ShardedSearch:
         self.partitioner = partitioner
         self.backend = backend
         self.metrics = metrics
-        self._fanout = global_fanout
         self.workers = workers
         self.start_method = start_method
         self.profile_hz = float(profile_hz)
         parts = PARTITIONERS[partitioner](list(objects), shards)
-        self.searches = [NNCSearch(p, global_fanout) for p in parts]
+        self.searches = [NNCSearch(p) for p in parts]
         #: Shard centroids (MBR centers) for partitioner-aware inserts;
         #: empty shards get +inf so they never attract until refilled.
         self._centroids = self._compute_centroids()
@@ -360,7 +357,6 @@ class ShardedSearch:
         *,
         partitioner: str = "round-robin",
         backend: str = "serial",
-        global_fanout: int = 16,
         metrics: Any = None,
         workers: int | None = None,
         start_method: str | None = None,
@@ -379,7 +375,6 @@ class ShardedSearch:
             shards=max(1, len(searches)),
             partitioner=partitioner,
             backend=backend,
-            global_fanout=global_fanout,
             metrics=metrics,
             workers=workers,
             start_method=start_method,
@@ -644,14 +639,14 @@ class ShardedSearch:
         return targets
 
     def _shard_order(self, query: UncertainObject) -> list[int]:
-        """Shards by min-distance of the query MBR to the shard root MBR."""
+        """Shards by min-distance of the query MBR to the shard tree's box."""
         q = query.mbr
         keyed = []
         for j, s in enumerate(self.searches):
-            root = s.tree.root.mbr
+            box = s.tree.bounds()
             key = (
-                _mbr_min_dist(q.lo, q.hi, root.lo, root.hi)
-                if root is not None
+                _mbr_min_dist(q.lo, q.hi, box.lo, box.hi)
+                if box is not None
                 else float("inf")
             )
             keyed.append((key, j))

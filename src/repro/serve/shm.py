@@ -11,20 +11,17 @@ Segment layout (one segment per ``(epoch, shard)``)::
     [u64 header_len][header JSON][pad to 64][array blob ...]
 
 The header records, for each named array, ``(dtype, shape, offset)`` into
-the blob, plus tree metadata.  The arrays are::
+the blob, plus the object ids and the tree's fan-out.  The arrays are::
 
     points   (M, d) f8   all instance coordinates, object-major
     probs    (M,)   f8   matching instance probabilities
     offsets  (n+1,) i8   object i's instances are rows [offsets[i], offsets[i+1])
-    obj_lo   (n, d) f8   per-object MBR corners (the R-tree entry boxes)
+    obj_lo   (n, d) f8   per-object MBR corners
     obj_hi   (n, d) f8
-    node_lo  (N, d) f8   flattened R-tree node MBRs (preorder, root first)
-    node_hi  (N, d) f8
-    node_meta (N, 3) i8  (is_leaf, first, count) — leaves slice ``leaf_entry``,
-                         internal nodes slice ``child_idx``
-    child_idx (C,)  i8   node indices of internal children
-    leaf_entry (L,) i8   object indices of leaf entries
     masked    (t,)  i8   object indices currently tombstoned
+    tree.*               the global R-tree's own arrays, overflow leaf
+                         included (:meth:`repro.index.rtree.RTree.arrays`);
+                         its entry ids are object indices
 
 Publishing follows an **append-then-swap** protocol: the parent writes the
 new epoch's segments *first* (append), then flips the epoch stamped into
@@ -35,8 +32,8 @@ answers against the pre-swap dataset.  Workers re-attach lazily when a task
 names a segment they have not mapped, and drop older mappings then — they
 are never restarted on mutation.
 
-The per-shard :class:`~repro.core.nnc.NNCSearch` a worker rebuilds from a
-segment is structurally identical to the parent's (same object order, same
+The per-shard :class:`~repro.core.nnc.NNCSearch` a worker attaches from a
+segment wraps the parent's tree arrays as they are (same object order, same
 tree topology, same tombstones), so answers are bit-identical to the serial
 cascade — the exactness pin extends to this backend unchanged.
 """
@@ -55,7 +52,7 @@ import numpy as np
 from repro.core.context import QueryContext
 from repro.core.nnc import NNCSearch
 from repro.geometry.mbr import MBR
-from repro.index.rtree import RTree, RTreeNode
+from repro.index.rtree import RTree
 from repro.objects.uncertain import UncertainObject
 from repro.obs.request import RequestContext, bind
 from repro.obs.tracer import Tracer
@@ -92,63 +89,13 @@ def make_prefix() -> str:
 # --------------------------------------------------------------------- #
 
 
-def _flatten_tree(tree: RTree, index_of: dict[int, int]):
-    """Preorder-flatten an R-tree into the segment's node/entry arrays.
-
-    ``index_of`` maps ``id(obj) -> snapshot index``; leaf entries are stored
-    as those indices so the worker can rebuild entries against its own
-    zero-copy objects.
-    """
-    if tree.root.mbr is None:
-        d = 0
-        return (
-            np.empty((0, d)), np.empty((0, d)),
-            np.empty((0, 3), dtype=np.int64),
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-        )
-    order: list[RTreeNode] = [tree.root]
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
-        if not node.is_leaf:
-            order.extend(node.children)
-    node_index = {id(n): i for i, n in enumerate(order)}
-    d = tree.root.mbr.dim
-    node_lo = np.empty((len(order), d))
-    node_hi = np.empty((len(order), d))
-    node_meta = np.empty((len(order), 3), dtype=np.int64)
-    child_idx: list[int] = []
-    leaf_entry: list[int] = []
-    for i, node in enumerate(order):
-        mbr = node.mbr
-        if mbr is None:  # empty node (possible transiently after deletes)
-            node_lo[i] = np.zeros(d)
-            node_hi[i] = np.zeros(d)
-        else:
-            node_lo[i] = mbr.lo
-            node_hi[i] = mbr.hi
-        if node.is_leaf:
-            node_meta[i] = (1, len(leaf_entry), len(node.entries))
-            leaf_entry.extend(index_of[id(obj)] for _, obj in node.entries)
-        else:
-            node_meta[i] = (0, len(child_idx), len(node.children))
-            child_idx.extend(node_index[id(c)] for c in node.children)
-    return (
-        node_lo,
-        node_hi,
-        node_meta,
-        np.asarray(child_idx, dtype=np.int64),
-        np.asarray(leaf_entry, dtype=np.int64),
-    )
-
-
 def pack_shard(search: NNCSearch) -> bytes:
     """Serialize one shard's full search state into a segment blob.
 
     The snapshot covers **all** objects of the shard, including tombstoned
-    ones (the ``masked`` array carries the tombstones), so the worker's
-    rebuilt search traverses exactly the structures the parent would.
+    ones (the ``masked`` array carries the tombstones), and the tree's own
+    arrays, so the worker's search traverses exactly the structures the
+    parent would.
     """
     objects = list(search.objects)
     index_of = {id(o): i for i, o in enumerate(objects)}
@@ -166,9 +113,6 @@ def pack_shard(search: NNCSearch) -> bytes:
         probs = np.empty(0)
         obj_lo = np.empty((0, d))
         obj_hi = np.empty((0, d))
-    node_lo, node_hi, node_meta, child_idx, leaf_entry = _flatten_tree(
-        search.tree, index_of
-    )
     masked = np.asarray(
         sorted(index_of[key] for key in search._masked), dtype=np.int64
     )
@@ -178,13 +122,10 @@ def pack_shard(search: NNCSearch) -> bytes:
         "offsets": offsets,
         "obj_lo": np.ascontiguousarray(obj_lo, dtype=np.float64),
         "obj_hi": np.ascontiguousarray(obj_hi, dtype=np.float64),
-        "node_lo": np.ascontiguousarray(node_lo, dtype=np.float64),
-        "node_hi": np.ascontiguousarray(node_hi, dtype=np.float64),
-        "node_meta": np.ascontiguousarray(node_meta, dtype=np.int64),
-        "child_idx": child_idx,
-        "leaf_entry": leaf_entry,
         "masked": masked,
     }
+    for name, arr in search.tree.arrays().items():
+        arrays[f"tree.{name}"] = np.ascontiguousarray(arr)
     layout: dict[str, list] = {}
     off = 0
     for name, arr in arrays.items():
@@ -195,10 +136,7 @@ def pack_shard(search: NNCSearch) -> bytes:
         "dim": d,
         "n_objects": len(objects),
         "oids": [o.oid for o in objects],
-        "tree_size": len(search.tree),
         "max_entries": search.tree.max_entries,
-        "min_entries": search.tree.min_entries,
-        "fanout": search._fanout,
     }
     header_bytes = json.dumps(header).encode()
     data_start = _aligned(8 + len(header_bytes))
@@ -319,18 +257,17 @@ def attach_shard(name: str) -> tuple[shared_memory.SharedMemory, NNCSearch]:
 
 
 def unpack_shard(buf) -> NNCSearch:
-    """Rebuild a shard search over any :func:`pack_shard` blob, zero-copy.
+    """Attach a shard search over any :func:`pack_shard` blob, zero-copy.
 
     ``buf`` is any buffer holding a pack_shard blob — a shared-memory
     segment's ``.buf`` (the pool backend) or a memoryview into a
     memory-mapped snapshot file (:mod:`repro.serve.durable`).  Every
-    instance matrix, probability vector, MBR corner, and R-tree node box
-    is a read-only NumPy view into that buffer; only the Python object
-    shells (``UncertainObject``, ``RTreeNode``) are materialised.  The
-    rebuilt search is structurally identical to the packed one (same
-    object order, tree topology, tombstones), so its answers are
-    bit-identical — the exactness pin extends to every consumer of this
-    layout.
+    instance matrix, probability vector, MBR corner, and R-tree array is a
+    read-only NumPy view into that buffer; only the ``UncertainObject``
+    shells are materialised, and the tree wraps its arrays as they are.
+    The search is structurally identical to the packed one (same object
+    order, tree topology, tombstones), so its answers are bit-identical —
+    the exactness pin extends to every consumer of this layout.
     """
     header_len = int.from_bytes(bytes(buf[:8]), "little")
     header = json.loads(bytes(buf[8:8 + header_len]))
@@ -338,9 +275,12 @@ def unpack_shard(buf) -> NNCSearch:
     arrays: dict[str, np.ndarray] = {}
     for arr_name, (dtype, shape, off) in header["arrays"].items():
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(
-            buf, dtype=np.dtype(dtype), count=count, offset=data_start + off
-        ).reshape(shape)
+        if count:
+            arr = np.frombuffer(
+                buf, dtype=np.dtype(dtype), count=count, offset=data_start + off
+            ).reshape(shape)
+        else:  # an empty view would still pin the mapping open
+            arr = np.empty(shape, dtype=np.dtype(dtype))
         arr.flags.writeable = False
         arrays[arr_name] = arr
 
@@ -358,31 +298,16 @@ def unpack_shard(buf) -> NNCSearch:
         obj._local_tree = None
         objects.append(obj)
 
-    tree = RTree(
-        max_entries=header["max_entries"], min_entries=header["min_entries"]
+    tree = RTree.wrap(
+        {
+            name[len("tree."):]: arr
+            for name, arr in arrays.items()
+            if name.startswith("tree.")
+        },
+        objects,
+        header["max_entries"],
     )
-    tree._size = header["tree_size"]
-    node_lo, node_hi = arrays["node_lo"], arrays["node_hi"]
-    node_meta = arrays["node_meta"]
-    child_idx, leaf_entry = arrays["child_idx"], arrays["leaf_entry"]
-    if len(node_meta):
-        nodes = [RTreeNode(bool(meta[0])) for meta in node_meta]
-        for i, node in enumerate(nodes):
-            is_leaf, first, count = (int(v) for v in node_meta[i])
-            if count:
-                node.mbr = MBR(node_lo[i], node_hi[i])
-            if is_leaf:
-                node.entries = [
-                    (objects[j].mbr, objects[j])
-                    for j in leaf_entry[first:first + count]
-                ]
-            else:
-                node.children = [
-                    nodes[c] for c in child_idx[first:first + count]
-                ]
-        tree.root = nodes[0]
-
-    search = NNCSearch([], header["fanout"])
+    search = NNCSearch([])
     search.objects = objects
     search.tree = tree
     search._masked = {
@@ -417,7 +342,7 @@ def _release(cached: tuple[str, shared_memory.SharedMemory, NNCSearch]) -> None:
 
     The search's arrays are zero-copy views into the mapping, so the mmap
     cannot close while any survive; dropping the cache entry makes them
-    unreachable, and a collect sweeps the R-tree node graph.  If a view
+    unreachable, and a collect sweeps any reference cycles.  If a view
     still escaped (e.g. a result held by the caller), closing would raise
     ``BufferError`` — then we simply leave the mapping to close with the
     view's finalizer instead of failing the query.

@@ -87,8 +87,7 @@ class DatasetManager:
 
     Args:
         objects: initial dataset (validated under ``on_invalid``).
-        shards / partitioner / backend / global_fanout: forwarded to
-            :class:`ShardedSearch`.
+        shards / partitioner / backend: forwarded to :class:`ShardedSearch`.
         on_invalid: quarantine policy for the initial load *and* inserts
             (``strict`` rejects, ``repair`` fixes what it can, ``skip``
             drops — a dropped single insert is reported as a rejection).
@@ -110,7 +109,6 @@ class DatasetManager:
         shards: int = 1,
         partitioner: str = "round-robin",
         backend: str = "serial",
-        global_fanout: int = 16,
         on_invalid: str = "strict",
         compact_threshold: float = 0.3,
         metrics: Any = None,
@@ -128,7 +126,6 @@ class DatasetManager:
                 shards=shards,
                 partitioner=partitioner,
                 backend=backend,
-                global_fanout=global_fanout,
                 metrics=metrics,
                 workers=workers,
                 start_method=start_method,

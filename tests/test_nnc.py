@@ -187,13 +187,16 @@ class TestDynamicRemoval:
         objects, query = random_scene(rng, n_objects=14, m=3, m_q=2)
         search = NNCSearch(objects)
         victim = objects[3]
-        assert search.remove_object(victim)
-        assert not search.remove_object(victim)
+        assert search.mask_object(victim)
+        assert not search.mask_object(victim)
         rest = [o for o in objects if o is not victim]
-        expected = brute_force_nnc(rest, query, brute_s_dominates)
-        assert sorted(search.run(query, "SSD").oids()) == sorted(
-            o.oid for o in expected
+        expected = sorted(
+            o.oid for o in brute_force_nnc(rest, query, brute_s_dominates)
         )
+        assert sorted(search.run(query, "SSD").oids()) == expected
+        assert search.compact() == 1
+        assert len(search.tree) == len(rest)
+        assert sorted(search.run(query, "SSD").oids()) == expected
 
     def test_churn(self, rng):
         objects, query = random_scene(rng, n_objects=20, m=3, m_q=2)
@@ -201,9 +204,11 @@ class TestDynamicRemoval:
         for obj in objects[10:]:
             search.add_object(obj)
         for obj in objects[:5]:
-            assert search.remove_object(obj)
+            assert search.mask_object(obj)
         live = objects[5:]
-        expected = brute_force_nnc(live, query, brute_s_dominates)
-        assert sorted(search.run(query, "SSD").oids()) == sorted(
-            o.oid for o in expected
+        expected = sorted(
+            o.oid for o in brute_force_nnc(live, query, brute_s_dominates)
         )
+        assert sorted(search.run(query, "SSD").oids()) == expected
+        assert search.compact() == 5
+        assert sorted(search.run(query, "SSD").oids()) == expected

@@ -54,16 +54,18 @@ class TestMBRAndTree:
         obj = UncertainObject(pts)
         tree = obj.local_rtree()
         assert len(tree) == 17
-        payload_idx = sorted(i for _, (i, _) in tree.all_entries())
-        assert payload_idx == list(range(17))
+        assert sorted(tree.entries(0)) == list(range(17))
 
     def test_local_rtree_payload_probs(self):
+        # Entries are instance rows: a payload indexes points and probs.
         obj = UncertainObject([[0.0], [1.0]], [0.3, 0.7])
-        entries = dict(
-            (i, p) for _, (i, p) in obj.local_rtree().all_entries()
-        )
-        assert entries[0] == pytest.approx(0.3)
-        assert entries[1] == pytest.approx(0.7)
+        tree = obj.local_rtree()
+        rows = tree.entries(0)
+        assert sorted(rows) == [0, 1]
+        np.testing.assert_array_equal(tree.lo, obj.points[rows])
+        probs = {i: obj.probs[i] for i in rows}
+        assert probs[0] == pytest.approx(0.3)
+        assert probs[1] == pytest.approx(0.7)
 
 
 class TestDistanceDistributions:

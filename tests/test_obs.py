@@ -455,23 +455,18 @@ class TestPipelineInstrumentation:
         assert elements == ctx.counters.kernel_elements
 
     def test_rtree_visit_metrics(self, rng):
-        # Best-first traversals report node pops when a registry is attached
-        # (used by F-SD's per-vertex extreme-distance queries on local trees).
+        # Best-first traversals report node pops to the registry passed per
+        # call (F-SD's per-vertex extreme-distance queries on local trees).
         from repro.index.rtree import RTree
-
-        from repro.geometry.mbr import MBR
 
         registry = MetricsRegistry()
         tree = RTree()
-        for i, point in enumerate(rng.uniform(0, 100, size=(64, 2))):
-            tree.insert(MBR(point, point), i)
-        tree.metrics = registry
-        tree.metrics_label = "local"
+        for point in rng.uniform(0, 100, size=(64, 2)):
+            tree.insert(point, point)
         q = np.array([50.0, 50.0])
-        tree.nearest_distance(q)
-        tree.farthest_distance(q)
-        tree.nearest(q, k=3)
-        for mode in ("nearest", "farthest", "best-first"):
+        tree.nearest_distance(q, metrics=registry)
+        tree.farthest_distance(q, metrics=registry)
+        for mode in ("nearest", "farthest"):
             assert registry.value(
                 "repro_rtree_node_visits_total",
                 {"tree": "local", "mode": mode},

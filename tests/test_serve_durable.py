@@ -15,6 +15,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.audit import load_audit, replay_audit
 from repro.serve.durable import (
     DurableDatasetManager,
+    RecoveryError,
     durable_epoch,
     latest_snapshot,
     load_snapshot,
@@ -228,6 +229,18 @@ class TestSnapshot:
         finally:
             m.close()
 
+    def test_other_layout_version_is_refused(self, tmp_path):
+        m = DatasetManager(_dataset(8), backend="serial")
+        try:
+            path = write_snapshot(tmp_path, m.search.searches, epoch=1, wal_seq=0)
+            raw = path.read_bytes()
+            assert raw.count(b'"version":2,') == 1
+            path.write_bytes(raw.replace(b'"version":2,', b'"version":1,'))
+            with pytest.raises(ValueError, match="version 1"):
+                load_snapshot(path)
+        finally:
+            m.close()
+
 
 # --------------------------------------------------------------------- #
 # Durable manager: restart exactness
@@ -271,6 +284,26 @@ class TestDurableManager:
                 assert got == expected[op], op
         finally:
             warm.close()
+
+    def test_every_snapshot_corrupt_refuses_to_boot_cold(self, tmp_path):
+        m = DurableDatasetManager(
+            _dataset(50), data_dir=tmp_path, backend="serial",
+            snapshot_every=8,
+        )
+        for i in range(16):
+            m.insert([[float(i), float(i)]], oid=f"n{i}")
+        m.close()
+        snaps = sorted(p.name for p in tmp_path.glob("snap-*.snap"))
+        assert snaps
+        for name in snaps:
+            raw = bytearray((tmp_path / name).read_bytes())
+            raw[-1] ^= 0xFF  # inside the last shard blob: CRC mismatch
+            (tmp_path / name).write_bytes(bytes(raw))
+        with pytest.raises(RecoveryError) as exc:
+            DurableDatasetManager([], data_dir=tmp_path, backend="serial")
+        for name in snaps:
+            assert name in str(exc.value)
+        assert sorted(p.name for p in tmp_path.glob("snap-*.snap")) == snaps
 
     def test_cold_start_checkpoints_immediately(self, tmp_path):
         m = DurableDatasetManager(
