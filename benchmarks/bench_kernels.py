@@ -38,7 +38,7 @@ import numpy as np
 from repro.core import kernels as K
 from repro.core.context import QueryContext
 from repro.core.nnc import NNCSearch
-from repro.experiments import provenance, trajectory
+from repro.experiments import provenance
 from repro.experiments.figures import build_dataset
 from repro.experiments.params import SCALES, ExperimentParams
 from repro.experiments.report import format_table, kernel_summary
@@ -322,17 +322,6 @@ def main(argv: list[str] | None = None) -> int:
         default=str(Path(__file__).resolve().parent.parent / "BENCH_kernels.json"),
         help="output JSON path (default: repo-root BENCH_kernels.json)",
     )
-    parser.add_argument(
-        "--trajectory",
-        default=str(trajectory.DEFAULT_PATH),
-        help="perf-trajectory JSONL to append a summary record to "
-        "(default: benchmarks/results/trajectory.jsonl)",
-    )
-    parser.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="skip the trajectory append (ad-hoc runs)",
-    )
     args = parser.parse_args(argv)
     scale = "tiny" if args.smoke else (args.scale or "tiny")
     repeats = 10 if args.smoke else 50
@@ -363,9 +352,6 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {out}")
-    if not args.no_trajectory:
-        action = trajectory.append(args.trajectory, trajectory.record_for(payload))
-        print(f"trajectory: {action} record in {args.trajectory}")
     return 0
 
 

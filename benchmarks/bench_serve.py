@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.core.nnc import NNCSearch
 from repro.datasets import synthetic
-from repro.experiments import provenance, trajectory
+from repro.experiments import provenance
 from repro.serve.cache import ResultCache
 from repro.serve.shard import ShardedSearch
 
@@ -603,12 +603,6 @@ def main(argv: list[str] | None = None) -> int:
                         "--smoke); 0 skips the section")
     parser.add_argument("--seed", type=int, default=20150531)
     parser.add_argument("--out", default="BENCH_serve.json")
-    parser.add_argument("--trajectory", default=str(trajectory.DEFAULT_PATH),
-                        help="perf-trajectory JSONL to append a summary "
-                        "record to (default: "
-                        "benchmarks/results/trajectory.jsonl)")
-    parser.add_argument("--no-trajectory", action="store_true",
-                        help="skip the trajectory append (ad-hoc runs)")
     args = parser.parse_args(argv)
 
     n = args.n if args.n is not None else (200 if args.smoke else 2000)
@@ -783,9 +777,6 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
-    if not args.no_trajectory:
-        action = trajectory.append(args.trajectory, trajectory.record_for(payload))
-        print(f"trajectory: {action} record in {args.trajectory}")
     return 0
 
 

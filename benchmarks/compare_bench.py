@@ -254,62 +254,6 @@ def compare_serve(
     return rows, regressions
 
 
-def gate_verdicts(
-    rows: list[dict], regressions: list[str], name_key: str
-) -> list[dict]:
-    """Structured per-gate verdicts from comparison rows + regressions.
-
-    Each row becomes ``{"gate", "status", "measured", "baseline",
-    "detail"}`` with status ``pass``/``fail``/``skip``: *fail* when a
-    regression message names the gate, *skip* when the gate was explicitly
-    skipped (one-core speedup) or one side is missing, *pass* otherwise.
-    Regressions with no backing row (e.g. a sharded-answer divergence) get
-    their own ``fail`` entries, so the verdict file never under-reports.
-    """
-    gates: list[dict] = []
-    matched: set[int] = set()
-    for row in rows:
-        name = str(row[name_key])
-        change = str(row.get("change", ""))
-        hit = next(
-            (
-                i for i, msg in enumerate(regressions)
-                if msg.startswith(f"{name}:")
-            ),
-            None,
-        )
-        if hit is not None:
-            matched.add(hit)
-            status, detail = "fail", regressions[hit]
-        elif change.startswith("SKIPPED"):
-            status, detail = "skip", change
-        elif row.get("baseline") is None or row.get("current") is None:
-            status, detail = "skip", "missing on one side"
-        else:
-            status, detail = "pass", change
-        gates.append(
-            {
-                "gate": name,
-                "status": status,
-                "measured": row.get("current"),
-                "baseline": row.get("baseline"),
-                "detail": detail,
-            }
-        )
-    for i, msg in enumerate(regressions):
-        if i not in matched:
-            gates.append(
-                {
-                    "gate": msg.split(":", 1)[0],
-                    "status": "fail",
-                    "measured": None,
-                    "baseline": None,
-                    "detail": msg,
-                }
-            )
-    return gates
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; see the module docstring for exit codes."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -333,12 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="fail (exit 2) on a baseline/current scale mismatch instead of "
         "downgrading to informational",
-    )
-    parser.add_argument(
-        "--verdict-out",
-        metavar="PATH",
-        help="also write a machine-readable per-gate verdict JSON "
-        "(consumed by `repro figures --verdict` for dashboard badges)",
     )
     args = parser.parse_args(argv)
     try:
@@ -388,21 +326,6 @@ def main(argv: list[str] | None = None) -> int:
 
     title += ", informational)" if informational else ")"
     print(format_table(rows, title))
-    if args.verdict_out:
-        verdict = {
-            "kind": kind,
-            "baseline": str(args.baseline),
-            "current": str(args.current),
-            "threshold": args.threshold,
-            "informational": informational,
-            "gates": gate_verdicts(
-                rows, regressions, "metric" if kind == "serve" else "operator"
-            ),
-        }
-        Path(args.verdict_out).write_text(
-            json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"verdict written to {args.verdict_out}")
     if regressions:
         print()
         for msg in regressions:

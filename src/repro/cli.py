@@ -4,12 +4,16 @@
 
 * ``search``   — generate (or load) a dataset and run the NN candidates
   search with a chosen operator, printing the candidates progressively.
-* ``figure``   — regenerate one paper figure at a scale preset.
-* ``report``   — regenerate every figure and write the Markdown report
-  (same as ``python -m repro.experiments.runner``).
+* ``figures``  — build registered figures (the paper's Figures 10-16 and
+  the live-snapshot views): print each table, write CSV + Vega-Lite specs
+  and a self-contained dashboard (see :mod:`repro.experiments.registry`).
+* ``report``   — regenerate every paper figure and write the Markdown
+  report.
 * ``generate`` — synthesise a dataset to a ``.npz`` file for reuse.
 * ``serve``    — serve NNC queries over HTTP (sharded, cached, dynamic
   updates; see :mod:`repro.serve`).
+* ``router``   — the same HTTP API scatter-gathered over remote node
+  servers (see :mod:`repro.serve.router`).
 * ``client``   — query / mutate a running server from the shell.
 * ``replay``   — re-execute a serve audit log against a dataset and verify
   every recorded answer digest (see :mod:`repro.serve.audit`).
@@ -256,19 +260,8 @@ def _add_client(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--retry-base-ms", type=float, default=100.0, metavar="MS",
                    help="first backoff delay; doubles per retry, capped at "
                    "5s")
-    p.add_argument("--format", choices=["text", "json", "slo-json"],
-                   default="json",
-                   help="json prints the raw server response; slo-json "
-                        "(status only) prints the figure-ready SLO snapshot "
-                        "(per-operator latency_ms quantiles + burn counters)")
-
-
-def _add_figure(sub: argparse._SubParsersAction) -> None:
-    from repro.experiments.figures import FIGURES
-
-    p = sub.add_parser("figure", help="regenerate one paper figure")
-    p.add_argument("name", choices=sorted(FIGURES))
-    p.add_argument("--scale", default="tiny", choices=["tiny", "small", "medium"])
+    p.add_argument("--format", choices=["text", "json"], default="json",
+                   help="json prints the raw server response")
 
 
 def _add_figures(sub: argparse._SubParsersAction) -> None:
@@ -276,9 +269,9 @@ def _add_figures(sub: argparse._SubParsersAction) -> None:
         "figures",
         help="build registered figures: CSV + Vega-Lite specs + dashboard",
         description="Build figures from the declarative registry "
-        "(repro.experiments.registry): paper reproductions, bench views "
-        "over BENCH_kernels.json / BENCH_serve.json, and the cross-commit "
-        "perf trajectory.  Each figure emits data/<id>.csv and "
+        "(repro.experiments.registry): the paper reproductions and the "
+        "live-snapshot views (SLO quantiles, flamegraph, fleet overview).  "
+        "Each figure prints its table and emits data/<id>.csv and "
         "specs/<id>.vl.json plus a section in a self-contained "
         "<out-dir>/index.html (inline SVG, no network).",
     )
@@ -293,25 +286,15 @@ def _add_figures(sub: argparse._SubParsersAction) -> None:
                    help="scale preset for the paper figures")
     p.add_argument("--out-dir", default="dashboard",
                    help="artifact directory (default: dashboard/)")
-    p.add_argument("--kernels", metavar="PATH",
-                   help="bench_kernels payload (default: BENCH_kernels.json)")
-    p.add_argument("--serve", metavar="PATH",
-                   help="bench_serve payload (default: BENCH_serve.json)")
-    p.add_argument("--trajectory", metavar="PATH",
-                   help="trajectory store (default: "
-                        "benchmarks/results/trajectory.jsonl)")
     p.add_argument("--slo", metavar="PATH",
-                   help="SLO snapshot JSON for slo-quantiles (a /status "
-                        "body or `client status --format slo-json` output)")
+                   help="status JSON for slo-quantiles (a node's /status "
+                        "body, `client status --format json`)")
     p.add_argument("--profile", metavar="PATH",
                    help="profiler snapshot JSON for the flamegraph figure "
                         "(a GET /profile body)")
     p.add_argument("--fleet", metavar="PATH",
                    help="fleet snapshot JSON for fleet-overview (a router "
                         "GET /fleet body)")
-    p.add_argument("--verdict", action="append", default=[], metavar="PATH",
-                   help="compare_bench.py --verdict-out JSON; repeatable, "
-                        "rendered as gate badges on the dashboard")
     p.add_argument("--check", action="store_true",
                    help="build + self-check only, write no files")
 
@@ -343,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _add_search(sub)
-    _add_figure(sub)
     _add_figures(sub)
     _add_report(sub)
     _add_generate(sub)
@@ -1039,31 +1021,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
     if not is_json:
         print(raw.decode())
         return 0 if status == 200 else 1
-    if args.format == "slo-json":
-        if args.action != "status":
-            print("--format slo-json only applies to `client status`",
-                  file=sys.stderr)
-            return 2
-        if status != 200:
-            print(_json.dumps(body, indent=2))
-            return 1
-        slo = body.get("slo") or {}
-        snapshot = {
-            "latency_ms_target": slo.get("latency_ms_target"),
-            "latency_ms": {
-                op: {q: v * 1000.0 for q, v in quantiles.items()}
-                for op, quantiles in (slo.get("latency_seconds") or {}).items()
-            },
-            "degraded_ratio": slo.get("degraded_ratio"),
-            "error_ratio": slo.get("error_ratio"),
-            "burn": slo.get("burn") or {},
-        }
-        if "durability" in body:
-            snapshot["wal_seq"] = body.get("wal_seq")
-            snapshot["last_snapshot_epoch"] = body.get("last_snapshot_epoch")
-            snapshot["recovery"] = body.get("recovery")
-        print(_json.dumps(snapshot, indent=2, sort_keys=True))
-        return 0
     if args.format == "json":
         print(_json.dumps(body, indent=2))
     elif args.action == "query" and status == 200:
@@ -1145,26 +1102,17 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import FIGURES
-    from repro.experiments.report import format_table
-
-    result = FIGURES[args.name](args.scale)
-    print(format_table(result.rows, f"{result.figure} — {result.description}"))
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
-    import json as _json
     from pathlib import Path
 
     from repro.experiments import provenance, registry
     from repro.experiments.dashboard import render_dashboard
+    from repro.experiments.report import format_table
 
     if args.list_figures:
         for fid in registry.registered_ids():
             fig = registry.get(fid)
-            print(f"{fid:16s} [{fig.category:10s}] {fig.title}")
+            print(f"{fid:16s} [{fig.category:13s}] {fig.title}")
         return 0
     if args.all_figures:
         fids = registry.registered_ids()
@@ -1175,20 +1123,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         return 2
 
     overrides = {"scale": args.scale}
-    for name in ("kernels", "serve", "trajectory", "slo", "profile", "fleet"):
+    for name in ("slo", "profile", "fleet"):
         value = getattr(args, name)
         if value:
             overrides[name] = Path(value)
     inputs = registry.BuildInputs(**overrides)
-
-    verdicts = []
-    for path in args.verdict:
-        try:
-            verdicts.append(_json.loads(Path(path).read_text()))
-        except (OSError, _json.JSONDecodeError) as exc:
-            print(f"figures: cannot read verdict {path}: {exc}",
-                  file=sys.stderr)
-            return 2
 
     try:
         arts = registry.build_many(
@@ -1204,6 +1143,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
     for art in arts:
         summary = registry.self_check(art)
+        print(format_table(art.rows, f"{art.title} — {art.description}"))
         print(
             f"  {art.fid}: {summary['rows']} row(s), "
             f"{summary['series']} series — self-check ok"
@@ -1218,7 +1158,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     html = render_dashboard(
         arts,
-        verdicts=verdicts,
         provenance_record=provenance.collect(),
         scale=args.scale,
     )
@@ -1228,9 +1167,27 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as runner_main
+    from pathlib import Path
 
-    return runner_main([args.scale, args.output])
+    from repro.experiments import registry
+    from repro.experiments.figures import FIGURES
+    from repro.experiments.report import write_report
+
+    marks: list[float] = []
+
+    def progress(fid: str) -> None:
+        marks.append(time.perf_counter())
+        print(f"building {fid} ...", file=sys.stderr, flush=True)
+
+    arts = registry.build_many(
+        list(FIGURES), registry.BuildInputs(scale=args.scale),
+        on_progress=progress,
+    )
+    marks.append(time.perf_counter())
+    elapsed = [end - start for start, end in zip(marks, marks[1:])]
+    write_report(list(zip(arts, elapsed)), args.scale, Path(args.output))
+    print(f"wrote {args.output}")
+    return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -1276,8 +1233,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "search":
         return _cmd_search(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
     if args.command == "figures":
         return _cmd_figures(args)
     if args.command == "report":

@@ -218,6 +218,18 @@ class NNCSearch:
         self._masked: dict[int, UncertainObject] = {}
 
     @property
+    def objects(self) -> list[UncertainObject]:
+        """The collection, masked objects included (insertion order)."""
+        return self._objects
+
+    @objects.setter
+    def objects(self, objects: list[UncertainObject]) -> None:
+        # Every path that replaces the list (compaction, shared-memory
+        # unpacking) re-indexes membership here, so mask_object stays O(1).
+        self._objects = objects
+        self._members = {id(o) for o in objects}
+
+    @property
     def last_degradation(self) -> DegradationReport | None:
         """Degradation report of this thread/task's most recent search here.
 
@@ -239,7 +251,8 @@ class NNCSearch:
         Subsequent searches see the object immediately; existing query
         contexts remain valid (they cache per-object artefacts only).
         """
-        self.objects.append(obj)
+        self._objects.append(obj)
+        self._members.add(id(obj))
         self.tree.insert(obj.mbr.lo, obj.mbr.hi, obj)
 
     def mask_object(self, obj: UncertainObject) -> bool:
@@ -255,7 +268,7 @@ class NNCSearch:
             already masked.
         """
         key = id(obj)
-        if key in self._masked or not any(o is obj for o in self.objects):
+        if key in self._masked or key not in self._members:
             return False
         self._masked[key] = obj
         return True
@@ -321,7 +334,7 @@ class NNCSearch:
             result.yield_times.append(when)
             result.dominator_counts.append(dominators)
         result.elapsed = time.perf_counter() - start
-        result.counters = self._last_counters
+        result.counters = ctx.counters
         result.degradation = ctx.degradation
         return result
 
@@ -357,7 +370,6 @@ class NNCSearch:
             operator = make_operator(operator)
         if ctx is None:
             ctx = QueryContext(query)
-        self._last_counters = ctx.counters
         ctx.degradation = None
         _LAST_DEGRADATION.set((id(self), None))
         tracer = ctx.tracer

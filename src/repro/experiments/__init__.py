@@ -6,10 +6,12 @@
 * :mod:`repro.experiments.harness` — run NNC searches over workloads and
   collect candidate sizes, response times and filter counters.
 * :mod:`repro.experiments.figures` — one entry point per paper figure.
-* :mod:`repro.experiments.report` — plain-text table rendering.
+* :mod:`repro.experiments.registry` — the one path that builds a figure:
+  paper figures plus live-snapshot views, as CSV + Vega-Lite + dashboard.
+* :mod:`repro.experiments.report` — plain-text tables and the Markdown
+  report.
 """
 
-from repro.experiments.cache import DatasetCache
 from repro.experiments.harness import (
     WorkloadStats,
     candidate_quality,
@@ -17,11 +19,10 @@ from repro.experiments.harness import (
     progressive_profile,
 )
 from repro.experiments.params import SCALES, ExperimentParams, Scale
-from repro.experiments.report import format_table, kernel_summary, kernel_summary_table
+from repro.experiments.report import format_table, kernel_summary
 from repro.experiments.summary import Observation, format_summary, summarize
 
 __all__ = [
-    "DatasetCache",
     "ExperimentParams",
     "Observation",
     "format_summary",
@@ -33,6 +34,5 @@ __all__ = [
     "evaluate_workload",
     "format_table",
     "kernel_summary",
-    "kernel_summary_table",
     "progressive_profile",
 ]

@@ -1,4 +1,4 @@
-"""Static perf dashboard: every figure + bench gate in one HTML file.
+"""Static dashboard: every registered figure in one HTML file.
 
 :func:`render_dashboard` turns built :class:`FigureArtifact` rows into a
 single self-contained ``index.html`` — inline SVG charts, inline data
@@ -9,9 +9,8 @@ validated palette (same hue order in light and dark mode), lines are 2px
 with point markers, grouped bars carry a 2px surface gap, every mark has a
 native ``<title>`` tooltip, and any multi-series chart gets a legend.
 
-Sections, in order: run provenance, bench-gate verdicts (from
-``compare_bench.py --verdict-out``), paper figures, bench figures, the
-cross-commit perf trajectory.
+Sections, in order: run provenance, paper figures (each with the paper's
+own note), live-snapshot views.
 """
 
 from __future__ import annotations
@@ -182,8 +181,6 @@ def svg_chart(art: FigureArtifact) -> str:
             parts.append(f'<polyline class="line {cls}" points="{path}"/>')
             for r, (x, y) in zip(rows, points):
                 tip = f"{name} · {chart.x}={r[chart.x]} · {_fmt(r['value'])}"
-                if "raw" in r:
-                    tip += f" (raw {_fmt(r['raw'])})"
                 parts.append(
                     f'<circle class="dot {cls}" cx="{x:.1f}" cy="{y:.1f}" '
                     f'r="3.5"><title>{_esc(tip)}</title></circle>'
@@ -257,49 +254,6 @@ def _table(rows: list[dict], limit: int = 24) -> str:
     )
 
 
-_GATE_BADGES = {
-    "pass": ("ok", "&#10003; pass"),
-    "fail": ("bad", "&#10007; fail"),
-    "skip": ("skip", "&#8722; skip"),
-}
-
-
-def _gates_section(verdicts: Sequence[dict]) -> str:
-    out = ['<section id="gates"><h2>Bench gates</h2>']
-    for verdict in verdicts:
-        title = (
-            f"{verdict.get('kind', '?')} — "
-            f"{verdict.get('current', '?')} vs {verdict.get('baseline', '?')}"
-        )
-        flag = (
-            ' <span class="muted">(informational: scale mismatch)</span>'
-            if verdict.get("informational")
-            else ""
-        )
-        rows = []
-        for gate in verdict.get("gates", []):
-            cls, badge = _GATE_BADGES.get(gate.get("status"), ("skip", "?"))
-            measured = gate.get("measured")
-            baseline = gate.get("baseline")
-            rows.append(
-                "<tr>"
-                f'<td>{_esc(gate.get("gate", "?"))}</td>'
-                f'<td class="{cls}">{badge}</td>'
-                f"<td>{_esc(_fmt(measured) if isinstance(measured, (int, float)) else '—')}</td>"
-                f"<td>{_esc(_fmt(baseline) if isinstance(baseline, (int, float)) else '—')}</td>"
-                f'<td class="muted">{_esc(gate.get("detail") or "")}</td>'
-                "</tr>"
-            )
-        out.append(
-            f"<h3>{_esc(title)}{flag}</h3>"
-            "<table><thead><tr><th>gate</th><th>verdict</th><th>measured</th>"
-            "<th>baseline</th><th>detail</th></tr></thead>"
-            f"<tbody>{''.join(rows)}</tbody></table>"
-        )
-    out.append("</section>")
-    return "".join(out)
-
-
 def _css() -> str:
     light_vars = "\n".join(
         f"  --series-{i + 1}: {c};" for i, c in enumerate(_LIGHT)
@@ -316,7 +270,7 @@ def _css() -> str:
   color-scheme: light;
   --surface-1: #fcfcfb; --surface-2: #f0efec;
   --text-primary: #0b0b0b; --text-secondary: #52514e; --text-muted: #7a786f;
-  --grid: #e4e2dc; --ok: #008300; --bad: #e34948;
+  --grid: #e4e2dc;
 {light_vars}
 }}
 @media (prefers-color-scheme: dark) {{
@@ -324,7 +278,7 @@ def _css() -> str:
     color-scheme: dark;
     --surface-1: #1a1a19; --surface-2: #262625;
     --text-primary: #ffffff; --text-secondary: #c3c2b7; --text-muted: #8c8b81;
-    --grid: #383835; --ok: #33a133; --bad: #e66767;
+    --grid: #383835;
 {dark_vars}
   }}
 }}
@@ -341,7 +295,7 @@ nav a {{ margin-right: .75rem; }}
 a {{ color: var(--series-1); }}
 p {{ margin: .25rem 0; }}
 .prov, .muted, .notes {{ color: var(--text-muted); }}
-.desc {{ color: var(--text-secondary); }}
+.desc, .paper {{ color: var(--text-secondary); }}
 svg.chart {{ width: 100%; max-width: {_W}px; height: auto; display: block;
              background: var(--surface-1); }}
 .grid {{ stroke: var(--grid); stroke-width: 1; }}
@@ -361,9 +315,6 @@ table {{ border-collapse: collapse; margin: .5rem 0; font-size: 13px; }}
 th, td {{ border: 1px solid var(--grid); padding: .2rem .55rem;
           text-align: left; color: var(--text-secondary); }}
 th {{ color: var(--text-primary); background: var(--surface-2); }}
-td.ok {{ color: var(--ok); font-weight: 600; }}
-td.bad {{ color: var(--bad); font-weight: 600; }}
-td.skip {{ color: var(--text-muted); }}
 details {{ margin: .4rem 0; }}
 details pre {{ background: var(--surface-2); padding: .6rem; overflow-x: auto;
                font-size: 12px; max-height: 22rem; }}
@@ -373,16 +324,14 @@ section.fig {{ margin-bottom: 1.5rem; }}
 
 _CATEGORY_TITLES = {
     "paper": "Paper figures (Section 6 / Appendix C reproductions)",
-    "bench": "Benchmarks (BENCH_kernels.json / BENCH_serve.json)",
-    "observability": "Observability (continuous profiler, fleet federation)",
-    "trajectory": "Perf trajectory (benchmarks/results/trajectory.jsonl)",
+    "observability": "Live snapshots (SLO quantiles, continuous profiler, "
+    "fleet federation)",
 }
 
 
 def render_dashboard(
     artifacts: Sequence[FigureArtifact],
     *,
-    verdicts: Sequence[dict] = (),
     provenance_record: dict | None = None,
     scale: str | None = None,
 ) -> str:
@@ -402,18 +351,13 @@ def render_dashboard(
     ]
     toc = "".join(
         f'<a href="#{_esc(art.fid)}">{_esc(art.fid)}</a>' for art in artifacts
-    ) + ('<a href="#gates">gates</a>' if verdicts else "")
+    )
 
     sections = []
     by_category: dict[str, list[FigureArtifact]] = {}
     for art in artifacts:
         by_category.setdefault(art.category, []).append(art)
-    known = ("paper", "bench", "trajectory")
-    extra = [c for c in by_category if c not in known]
-    for category in (*known[:2], *extra, known[2]):
-        arts = by_category.pop(category, [])
-        if not arts:
-            continue
+    for category, arts in by_category.items():
         sections.append(
             f"<h2>{_esc(_CATEGORY_TITLES.get(category, category))}</h2>"
         )
@@ -425,6 +369,10 @@ def render_dashboard(
                 f'<section class="fig" id="{_esc(art.fid)}">'
                 f"<h3>{_esc(art.fid)} — {_esc(art.title)}</h3>"
                 f'<p class="desc">{_esc(art.description)}</p>'
+                + (
+                    f'<p class="paper"><em>{_esc(art.paper_note)}</em></p>'
+                    if art.paper_note else ""
+                )
                 + (f'<p class="notes">{_esc(art.notes)}</p>' if art.notes else "")
                 + f"<figure>{svg_chart(art)}</figure>"
                 + _legend(art)
@@ -445,13 +393,12 @@ def render_dashboard(
         "<!doctype html>\n<html lang=\"en\">\n<head>\n"
         '<meta charset="utf-8">\n'
         '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
-        "<title>repro — figures &amp; perf trajectory</title>\n"
+        "<title>repro — figures</title>\n"
         f"<style>{_css()}</style>\n</head>\n"
         '<body class="viz-root">\n'
-        "<header><h1>repro — figures &amp; perf trajectory</h1>"
+        "<header><h1>repro — figures</h1>"
         f'<p class="prov">{_esc(" · ".join(prov_bits))}</p></header>\n'
         f"<nav>{toc}</nav>\n"
-        + (_gates_section(verdicts) if verdicts else "")
         + "\n".join(sections)
         + "\n</body>\n</html>\n"
     )

@@ -381,12 +381,3 @@ FIGURES: dict[str, Callable[..., FigureResult]] = {
     "fig14": fig14_progressive,
     "fig16": fig16_filters,
 }
-
-
-if __name__ == "__main__":  # pragma: no cover
-    # `python -m repro.experiments.figures ...` == `repro figures ...`
-    import sys
-
-    from repro.cli import main
-
-    sys.exit(main(["figures", *sys.argv[1:]]))

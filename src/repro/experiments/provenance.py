@@ -3,9 +3,9 @@
 Every benchmark payload and figure artifact this repo emits should answer
 "which commit produced these numbers, on what machine, when" without a
 side-channel.  :func:`collect` gathers the facts; :func:`stamp` writes them
-under ``payload["meta"]["provenance"]`` so ``BENCH_*.json``, the trajectory
-store (:mod:`repro.experiments.trajectory`) and the dashboard
-(:mod:`repro.experiments.dashboard`) all carry the same record shape:
+under ``payload["meta"]["provenance"]`` so ``BENCH_*.json`` and the
+dashboard header (:mod:`repro.experiments.dashboard`) carry the same record
+shape:
 
 .. code-block:: json
 

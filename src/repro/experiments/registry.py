@@ -1,4 +1,4 @@
-"""Declarative figure registry: every figure and bench gate as artifacts.
+"""Declarative figure registry: every figure this commit can draw.
 
 One registry maps each figure id to a generator; one build emits, per id:
 
@@ -11,25 +11,17 @@ One registry maps each figure id to a generator; one build emits, per id:
 Registered ids:
 
 * ``fig10`` … ``fig16`` — the paper-figure reproductions from
-  :mod:`repro.experiments.figures`, built at a :class:`Scale` preset;
-* ``kernels-micro`` / ``kernels-e2e`` — ``BENCH_kernels.json`` micro-kernel
-  and end-to-end speedups;
-* ``serve-scaling`` / ``serve-openloop`` — ``BENCH_serve.json`` shard
-  scaling and open-loop (coordinated-omission-free) latency;
-* ``router-scaling`` — the multi-node router tier: per-fleet-size
-  latency under the same open-loop harness plus hedging efficacy;
-* ``slo-quantiles`` — per-operator p50/p95/p99 + SLO burn counters, fed
-  from a saved ``/status`` snapshot (``repro client status``) or, as a
-  fallback, the serve bench's observability section;
+  :mod:`repro.experiments.figures`, built at a :class:`Scale` preset, each
+  with the paper's own note on what the figure shows;
+* ``slo-quantiles`` — per-operator p50/p95/p99 + SLO burn counters from a
+  saved ``/status`` body (``repro client status --format json``) or, as a
+  fallback, node n1's ``/status`` in an in-process three-node fleet;
 * ``flamegraph`` — top frames + an inline flamegraph SVG from a saved
   ``GET /profile`` body (``repro client profile``) or, as a fallback, a
   brief in-process self-profile over a tiny NNC workload;
 * ``fleet-overview`` — per-node status/epoch/objects plus fleet-merged
   latency quantiles from a saved router ``GET /fleet`` body
-  (``repro client fleet``) or an in-process three-node fleet;
-* ``perf-trajectory`` — the cross-commit perf record store
-  (:mod:`repro.experiments.trajectory`), each tracked metric indexed to
-  its first record so speedups and latencies share one axis.
+  (``repro client fleet``) or the same in-process three-node fleet.
 
 Every build runs :func:`self_check` (valid spec, non-empty CSV that
 round-trips through ``csv.DictReader``) — a figure that cannot produce a
@@ -41,12 +33,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.experiments import figures as paper_figures
-from repro.experiments import provenance, trajectory
 
 __all__ = [
     "REGISTRY",
@@ -97,8 +88,6 @@ class ChartSpec:
 
     ``series`` names the value columns (one line/bar group per entry);
     empty means "every numeric non-``x`` column, in first-row order".
-    ``indexed`` divides each series by its first finite value so metrics
-    with different units share one axis (the trajectory view).
     """
 
     kind: str  # "line" | "bar"
@@ -107,7 +96,6 @@ class ChartSpec:
     x_type: str = "ordinal"  # "ordinal" | "quantitative"
     y_title: str = ""
     log_y: bool = False
-    indexed: bool = False
 
 
 @dataclass
@@ -117,10 +105,12 @@ class FigureArtifact:
     fid: str
     title: str
     description: str
-    category: str  # "paper" | "bench" | "observability" | "trajectory"
+    category: str  # "paper" | "observability"
     rows: list[dict]
     chart: ChartSpec
     notes: str = ""
+    #: The paper's own statement of what the figure shows (paper figures).
+    paper_note: str = ""
     #: Pre-rendered HTML the dashboard injects verbatim below the chart —
     #: the flamegraph SVG and the fleet quantile table live here (the CSV
     #: and Vega-Lite artifacts stay row-shaped regardless).
@@ -129,16 +119,12 @@ class FigureArtifact:
 
 @dataclass(frozen=True)
 class BuildInputs:
-    """Where a build reads its inputs from (all overridable by the CLI)."""
+    """What a build reads: the paper-figure scale and saved endpoint bodies.
+
+    A ``None`` body means the view builds from its in-process fallback.
+    """
 
     scale: str = "smoke"
-    kernels: Path = field(
-        default_factory=lambda: provenance.repo_root() / "BENCH_kernels.json"
-    )
-    serve: Path = field(
-        default_factory=lambda: provenance.repo_root() / "BENCH_serve.json"
-    )
-    trajectory: Path = field(default_factory=lambda: trajectory.DEFAULT_PATH)
     slo: Path | None = None
     profile: Path | None = None
     fleet: Path | None = None
@@ -169,33 +155,94 @@ def _load_json(path: Path, fid: str, hint: str) -> dict:
 # Paper figures (fig10 … fig16) — wrap repro.experiments.figures
 # --------------------------------------------------------------------- #
 
-# Chart encodings per paper figure; sweeps are lines over the swept value,
-# per-dataset comparisons are grouped bars.  Candidate sizes and times span
-# orders of magnitude across operators, hence the log axes (matching the
-# paper's plots).
+# Per paper figure: its chart encoding and the paper's own note on it.
+# Sweeps are lines over the swept value, per-dataset comparisons grouped
+# bars.  Candidate sizes and times span orders of magnitude across
+# operators, hence the log axes (matching the paper's plots).  The notes
+# quote the reference values of the paper's prose (Section 6.1/6.2); the
+# other figures are described by their qualitative shape.
 _SIZE, _TIME = "avg NN candidate size", "avg response time (s)"
-_PAPER_CHARTS: dict[str, ChartSpec] = {
-    "fig10": ChartSpec("bar", "dataset", y_title=_SIZE, log_y=True),
-    "fig11a": ChartSpec("line", "m_d", x_type="quantitative", y_title=_SIZE, log_y=True),
-    "fig11b": ChartSpec("line", "h_d", x_type="quantitative", y_title=_SIZE, log_y=True),
-    "fig11c": ChartSpec("line", "m_q", x_type="quantitative", y_title=_SIZE, log_y=True),
-    "fig11d": ChartSpec("line", "h_q", x_type="quantitative", y_title=_SIZE, log_y=True),
-    "fig11e": ChartSpec("line", "n", x_type="quantitative", y_title=_SIZE, log_y=True),
-    "fig11f": ChartSpec("line", "d", x_type="quantitative", y_title=_SIZE, log_y=True),
-    "fig12": ChartSpec("bar", "dataset", y_title=_TIME, log_y=True),
-    "fig13a": ChartSpec("line", "m_d", x_type="quantitative", y_title=_TIME, log_y=True),
-    "fig13b": ChartSpec("line", "h_d", x_type="quantitative", y_title=_TIME, log_y=True),
-    "fig13c": ChartSpec("line", "m_q", x_type="quantitative", y_title=_TIME, log_y=True),
-    "fig13d": ChartSpec("line", "h_q", x_type="quantitative", y_title=_TIME, log_y=True),
-    "fig13e": ChartSpec("line", "n", x_type="quantitative", y_title=_TIME, log_y=True),
-    "fig13f": ChartSpec("line", "d", x_type="quantitative", y_title=_TIME, log_y=True),
-    "fig14": ChartSpec(
-        "line", "progress_%", ("time_s",), x_type="quantitative",
-        y_title="elapsed time (s)",
+_PAPER: dict[str, tuple[ChartSpec, str]] = {
+    "fig10": (
+        ChartSpec("bar", "dataset", y_title=_SIZE, log_y=True),
+        "Paper (defaults, 100k objects): HOUSE -> SSD 7 / SSSD 38 / PSD 55.8 "
+        "/ FSD 657 / F+SD 1100; USA -> SSD 133.2 / SSSD 422.5 / PSD 933 / "
+        "FSD 10415 / F+SD 15580.4; NBA and GW largest overall due to heavy "
+        "instance overlap.",
     ),
-    "fig16": ChartSpec(
-        "line", "m_d", x_type="quantitative",
-        y_title="avg instance comparisons", log_y=True,
+    "fig11a": (
+        ChartSpec("line", "m_d", x_type="quantitative", y_title=_SIZE, log_y=True),
+        "Paper: SSD/SSSD/PSD scale well with m_d; FSD/F+SD grow faster.",
+    ),
+    "fig11b": (
+        ChartSpec("line", "h_d", x_type="quantitative", y_title=_SIZE, log_y=True),
+        "Paper: FSD/F+SD are rather sensitive to h_d (boundary-based); "
+        "SSD/SSSD/PSD much less so (distribution-based).",
+    ),
+    "fig11c": (
+        ChartSpec("line", "m_q", x_type="quantitative", y_title=_SIZE, log_y=True),
+        "Paper: same pattern as (a) for the query instance count m_q.",
+    ),
+    "fig11d": (
+        ChartSpec("line", "h_q", x_type="quantitative", y_title=_SIZE, log_y=True),
+        "Paper: same pattern as (b) for the query extent h_q.",
+    ),
+    "fig11e": (
+        ChartSpec("line", "n", x_type="quantitative", y_title=_SIZE, log_y=True),
+        "Paper: FSD/F+SD deteriorate as n grows 200k -> 1M; SSD/SSSD/PSD "
+        "stay stable.",
+    ),
+    "fig11f": (
+        ChartSpec("line", "d", x_type="quantitative", y_title=_SIZE, log_y=True),
+        "Paper: candidate counts drop dramatically from d = 2 to 5 (less "
+        "overlap in higher dimensions).",
+    ),
+    "fig12": (
+        ChartSpec("bar", "dataset", y_title=_TIME, log_y=True),
+        "Paper: FSD/F+SD fastest on all datasets except USA, where their "
+        "candidate blow-up makes SSD/SSSD faster; PSD slowest throughout.",
+    ),
+    "fig13a": (
+        ChartSpec("line", "m_d", x_type="quantitative", y_title=_TIME, log_y=True),
+        "Paper: FSD/F+SD fastest as m_d grows; SSD/SSSD close behind.",
+    ),
+    "fig13b": (
+        ChartSpec("line", "h_d", x_type="quantitative", y_title=_TIME, log_y=True),
+        "Paper: FSD/F+SD fastest as h_d grows.",
+    ),
+    "fig13c": (
+        ChartSpec("line", "m_q", x_type="quantitative", y_title=_TIME, log_y=True),
+        "Paper: FSD/F+SD fastest as m_q grows.",
+    ),
+    "fig13d": (
+        ChartSpec("line", "h_q", x_type="quantitative", y_title=_TIME, log_y=True),
+        "Paper: FSD/F+SD fastest as h_q grows.",
+    ),
+    "fig13e": (
+        ChartSpec("line", "n", x_type="quantitative", y_title=_TIME, log_y=True),
+        "Paper: SSD/SSSD overtake FSD/F+SD as n grows 200k -> 1M (candidate "
+        "verification cost).",
+    ),
+    "fig13f": (
+        ChartSpec("line", "d", x_type="quantitative", y_title=_TIME, log_y=True),
+        "Paper: times drop with dimensionality alongside candidates.",
+    ),
+    "fig14": (
+        ChartSpec(
+            "line", "progress_%", ("time_s",), x_type="quantitative",
+            y_title="elapsed time (s)",
+        ),
+        "Paper (PSD on USA): 20% of candidates in <1s, 70% in half the total "
+        "time; earlier candidates have higher quality.",
+    ),
+    "fig16": (
+        ChartSpec(
+            "line", "m_d", x_type="quantitative",
+            y_title="avg instance comparisons", log_y=True,
+        ),
+        "Paper (HOUSE, m_d 20-100): all four filter stages help; full stacks "
+        "save up to two orders of magnitude of instance comparisons for SSD "
+        "and PSD, ~60x for SSSD, vs. brute force.",
     ),
 }
 
@@ -246,384 +293,27 @@ def _paper_builder(fid: str) -> Callable[[BuildInputs], FigureArtifact]:
             description=result.description,
             category="paper",
             rows=rows,
-            chart=_PAPER_CHARTS[fid],
+            chart=_PAPER[fid][0],
             notes=f"regenerated at scale={scale}" + (
                 f"; {result.notes}" if result.notes else ""
             ),
+            paper_note=_PAPER[fid][1],
         )
 
     return build
 
 
 # --------------------------------------------------------------------- #
-# Bench figures — over BENCH_kernels.json / BENCH_serve.json
+# Live-snapshot views — SLO quantiles, profiler flamegraph, fleet overview
 # --------------------------------------------------------------------- #
 
-_KERNELS_HINT = "run: PYTHONPATH=src python benchmarks/bench_kernels.py"
-_SERVE_HINT = "run: PYTHONPATH=src python benchmarks/bench_serve.py"
+def _self_fleet() -> tuple[dict, dict]:
+    """Fallback snapshots from a three-node LocalNode fleet in-process.
 
-
-def _bench_note(payload: dict) -> str:
-    prov = (payload.get("meta") or {}).get("provenance") or {}
-    parts = [f"bench scale={payload.get('scale', 'unknown')}"]
-    if prov.get("sha"):
-        parts.append(f"commit {str(prov['sha'])[:10]}")
-    if prov.get("date"):
-        parts.append(str(prov["date"]))
-    if prov.get("cpu_count"):
-        parts.append(f"{prov['cpu_count']} cpu(s)")
-    return ", ".join(parts)
-
-
-def _build_kernels_micro(inputs: BuildInputs) -> FigureArtifact:
-    payload = _load_json(inputs.kernels, "kernels-micro", _KERNELS_HINT)
-    rows = [
-        {
-            "kernel": row["kernel"],
-            "speedup": row["speedup"],
-            "kernel_ops_per_sec": row["kernel_ops_per_sec"],
-            "scalar_ops_per_sec": row["scalar_ops_per_sec"],
-        }
-        for row in payload.get("micro", [])
-    ]
-    return FigureArtifact(
-        "kernels-micro",
-        "Micro-kernel speedups",
-        "ops/sec of each batch kernel vs its scalar twin on paper-shaped "
-        "inputs (bench_kernels.py `micro` section)",
-        "bench",
-        rows,
-        ChartSpec("bar", "kernel", ("speedup",),
-                  y_title="speedup vs scalar (x)", log_y=True),
-        notes=_bench_note(payload),
-    )
-
-
-def _build_kernels_e2e(inputs: BuildInputs) -> FigureArtifact:
-    payload = _load_json(inputs.kernels, "kernels-e2e", _KERNELS_HINT)
-    rows = [
-        {
-            "operator": row["operator"],
-            "speedup": row["speedup"],
-            "kernel_time_s": row["kernel_time"],
-            "scalar_time_s": row["scalar_time"],
-            "n_objects": row.get("n_objects"),
-            "n_queries": row.get("n_queries"),
-        }
-        for row in payload.get("end_to_end", [])
-    ]
-    return FigureArtifact(
-        "kernels-e2e",
-        "End-to-end kernel speedups",
-        "full NNC search wall time per operator, kernels on vs off, on the "
-        "Figure-12 default A-N workload (identical candidate sets asserted)",
-        "bench",
-        rows,
-        ChartSpec("bar", "operator", ("speedup",),
-                  y_title="speedup vs scalar path (x)"),
-        notes=_bench_note(payload),
-    )
-
-
-def _build_serve_scaling(inputs: BuildInputs) -> FigureArtifact:
-    payload = _load_json(inputs.serve, "serve-scaling", _SERVE_HINT)
-    rows = [
-        {
-            "shards": row["shards"],
-            "speedup_vs_1": row["speedup_vs_1"],
-            "qps": row["qps"],
-            "p50_ms": row["p50_ms"],
-            "p99_ms": row["p99_ms"],
-            "backend": row["backend"],
-            "equal": row["equal"],
-        }
-        for row in payload.get("shard_scaling", [])
-    ]
-    meta = payload.get("meta") or {}
-    return FigureArtifact(
-        "serve-scaling",
-        "Shard scaling",
-        "sharded scatter-gather throughput vs shard count K, normalised "
-        "against K=1 on the same backend (answers pinned to the monolith)",
-        "bench",
-        rows,
-        ChartSpec("line", "shards", ("speedup_vs_1",),
-                  x_type="quantitative", y_title="speedup vs K=1 (x)"),
-        notes=_bench_note(payload)
-        + (f"; cpu_count={meta['cpu_count']}" if "cpu_count" in meta else ""),
-    )
-
-
-def _build_serve_openloop(inputs: BuildInputs) -> FigureArtifact:
-    payload = _load_json(inputs.serve, "serve-openloop", _SERVE_HINT)
-    open_loop = payload.get("open_loop")
-    if not open_loop:
-        raise FigureInputError(
-            f"serve-openloop: {inputs.serve} has no open_loop section "
-            "(bench_serve.py ran with --open-loop-seconds 0?)"
-        )
-    rows = [
-        {"quantile": q, "latency_ms": open_loop[key]}
-        for q, key in (("p50", "p50_ms"), ("p99", "p99_ms"), ("max", "max_ms"))
-    ]
-    return FigureArtifact(
-        "serve-openloop",
-        "Open-loop latency under load",
-        "latency from *scheduled* Poisson arrival to completion at a fixed "
-        "offered rate — queueing delay charged to the answer "
-        "(coordinated-omission-free)",
-        "bench",
-        rows,
-        ChartSpec("bar", "quantile", ("latency_ms",), y_title="latency (ms)"),
-        notes=_bench_note(payload) + (
-            f"; offered {open_loop['offered_qps']:g} qps, achieved "
-            f"{open_loop['achieved_qps']:.2f} qps over "
-            f"{open_loop['requests']} request(s) on backend "
-            f"{open_loop['backend']} (K={open_loop['shards']})"
-        ),
-    )
-
-
-def _build_router_scaling(inputs: BuildInputs) -> FigureArtifact:
-    payload = _load_json(inputs.serve, "router-scaling", _SERVE_HINT)
-    router = payload.get("router")
-    if not router:
-        raise FigureInputError(
-            f"router-scaling: {inputs.serve} has no router section "
-            "(bench_serve.py ran with --open-loop-seconds 0?)"
-        )
-    rows = [
-        {
-            "nodes": row["nodes"],
-            "replication": row["replication"],
-            "qps": row["achieved_qps"],
-            "p50_ms": row["p50_ms"],
-            "p99_ms": row["p99_ms"],
-            "answer_mismatches": row["answer_mismatches"],
-        }
-        for row in router.get("scaling", [])
-    ]
-    hedging = router.get("hedging") or {}
-    notes = _bench_note(payload)
-    if hedging:
-        ratio = hedging.get("hedge_win_ratio")
-        notes += (
-            f"; hedging: p99 {hedging['p99_unhedged_ms']:.2f} -> "
-            f"{hedging['p99_hedged_ms']:.2f} ms with one replica "
-            f"+{hedging['slow_delay_ms']:g} ms slow, "
-            f"{hedging.get('hedge_wins', 0)}/{hedging.get('hedges', 0)} "
-            "hedge wins"
-            + (f" (ratio {ratio:.2f})" if ratio is not None else "")
-        )
-    return FigureArtifact(
-        "router-scaling",
-        "Router scaling and hedging",
-        "the multi-node router tier under the open-loop harness: latency "
-        "per fleet size with every answer pinned to the monolith; the "
-        "hedged-vs-unhedged p99 and hedge-win rate ride in the notes",
-        "bench",
-        rows,
-        ChartSpec("line", "nodes", ("p50_ms", "p99_ms"),
-                  x_type="quantitative", y_title="latency (ms)"),
-        notes=notes,
-    )
-
-
-def slo_rows(snapshot: dict) -> tuple[list[dict], dict]:
-    """Normalise an SLO snapshot into per-operator quantile rows + burn.
-
-    Accepts any of the three shapes in the wild:
-
-    * a full ``/status`` body (``repro client status --format json``) —
-      quantiles under ``slo.latency_seconds`` in seconds;
-    * the figure-ready snapshot (``repro client status --format slo-json``)
-      — quantiles under ``latency_ms`` in milliseconds;
-    * a ``bench_serve.py`` payload — single-operator quantiles under
-      ``observability.latency_ms``.
+    Returns the router's ``/fleet`` body and node n1's ``/status`` body
+    after six SSD queries through the router.  Queries are timed on the
+    nodes, so the router's own ``/status`` has no latency quantiles.
     """
-    burn: dict = {}
-    per_op: dict[str, dict[str, float]] = {}
-    if "slo" in snapshot and isinstance(snapshot["slo"], dict):
-        slo = snapshot["slo"]
-        burn = slo.get("burn") or {}
-        for op, quantiles in (slo.get("latency_seconds") or {}).items():
-            per_op[op] = {q: v * 1000.0 for q, v in quantiles.items()}
-    elif "latency_ms" in snapshot and isinstance(
-        next(iter(snapshot["latency_ms"].values()), None), dict
-    ):
-        burn = snapshot.get("burn") or {}
-        per_op = {
-            op: dict(quantiles)
-            for op, quantiles in snapshot["latency_ms"].items()
-        }
-    elif "observability" in snapshot:
-        obs = snapshot["observability"] or {}
-        op = (snapshot.get("meta") or {}).get("operator", "all")
-        if obs.get("latency_ms"):
-            per_op[op] = dict(obs["latency_ms"])
-    else:
-        raise FigureInputError(
-            "slo-quantiles: snapshot is neither a /status body, a slo-json "
-            "snapshot, nor a bench_serve payload"
-        )
-    rows = [
-        {
-            "operator": op,
-            "p50_ms": quantiles.get("p50"),
-            "p95_ms": quantiles.get("p95"),
-            "p99_ms": quantiles.get("p99"),
-        }
-        for op, quantiles in sorted(per_op.items())
-    ]
-    return rows, burn
-
-
-def _build_slo_quantiles(inputs: BuildInputs) -> FigureArtifact:
-    if inputs.slo is not None:
-        snapshot = _load_json(
-            inputs.slo, "slo-quantiles",
-            "save one with: repro client status --format json > slo.json",
-        )
-        source = str(inputs.slo)
-    else:
-        snapshot = _load_json(inputs.serve, "slo-quantiles", _SERVE_HINT)
-        source = f"{inputs.serve} (observability section)"
-    rows, burn = slo_rows(snapshot)
-    notes = f"source: {source}"
-    if burn:
-        notes += "; burn counters: " + json.dumps(burn, sort_keys=True)
-    return FigureArtifact(
-        "slo-quantiles",
-        "SLO latency quantiles",
-        "per-operator p50/p95/p99 served latency as exported by /status "
-        "(histogram-derived, the numbers the SLO burn counters judge)",
-        "bench",
-        rows,
-        ChartSpec("bar", "operator", ("p50_ms", "p95_ms", "p99_ms"),
-                  y_title="latency (ms)"),
-        notes=notes,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Observability figures — profiler flamegraph + fleet overview
-# --------------------------------------------------------------------- #
-
-def _self_profile() -> tuple[dict[str, int], str]:
-    """Fallback profile: sample a tiny NNC workload in-process.
-
-    A worker thread runs queries while this thread drives
-    :meth:`SamplingProfiler.sample_once` deterministically — no daemon,
-    no timing dependence on scheduler fairness beyond the worker making
-    progress.
-    """
-    import threading as _threading
-    import time as _time
-
-    import numpy as _np
-
-    from repro.core.nnc import NNCSearch
-    from repro.datasets.synthetic import (
-        anticorrelated_centers,
-        make_objects,
-        make_query,
-    )
-    from repro.obs.profile import SamplingProfiler
-
-    rng = _np.random.default_rng(0)
-    centers = anticorrelated_centers(150, 2, rng)
-    objects = make_objects(centers, 5, 40.0, rng)
-    search = NNCSearch(objects)
-    queries = [
-        make_query(centers[rng.integers(len(centers))], 3, 20.0, rng)
-        for _ in range(8)
-    ]
-    prof = SamplingProfiler(200.0)
-    stop = _threading.Event()
-
-    def work() -> None:
-        i = 0
-        while not stop.is_set():
-            search.run(queries[i % len(queries)], "SSD", k=2)
-            i += 1
-
-    worker = _threading.Thread(target=work, daemon=True)
-    worker.start()
-    own = _threading.get_ident()
-    try:
-        for _ in range(120):
-            prof.sample_once(skip_thread=own)
-            _time.sleep(1.0 / prof.hz)
-    finally:
-        stop.set()
-        worker.join(timeout=2.0)
-    stacks = prof.stacks()
-    if not stacks:
-        raise FigureInputError(
-            "flamegraph: in-process self-profile captured no stacks; "
-            "pass --profile with a saved GET /profile body instead"
-        )
-    return stacks, (
-        f"in-process self-profile: {prof.samples} sample(s) of a tiny NNC "
-        "workload (no --profile input given)"
-    )
-
-
-def _build_flamegraph(inputs: BuildInputs) -> FigureArtifact:
-    from repro.obs.profile import flamegraph_svg
-
-    if inputs.profile is not None:
-        body = _load_json(
-            inputs.profile, "flamegraph",
-            "save one with: repro client profile > profile.json",
-        )
-        stacks = {
-            str(stack): int(count)
-            for stack, count in (body.get("stacks") or {}).items()
-        }
-        if not stacks:
-            raise FigureInputError(
-                f"flamegraph: {inputs.profile} has no stacks (profiler "
-                "disabled? start the server with --profile-hz > 0)"
-            )
-        notes = (
-            f"source: {inputs.profile} ({body.get('samples')} sample(s) "
-            f"@ {body.get('hz')} Hz, node {body.get('node_id', '?')})"
-        )
-    else:
-        stacks, notes = _self_profile()
-    total = sum(stacks.values()) or 1
-    leaves: dict[str, int] = {}
-    for stack, count in stacks.items():
-        leaf = stack.rsplit(";", 1)[-1]
-        leaves[leaf] = leaves.get(leaf, 0) + count
-    rows = [
-        {
-            "frame": leaf,
-            "samples": count,
-            "percent": 100.0 * count / total,
-        }
-        for leaf, count in sorted(leaves.items(), key=lambda kv: -kv[1])[:15]
-    ]
-    return FigureArtifact(
-        "flamegraph",
-        "Continuous-profiler flamegraph",
-        "hottest leaf frames from the sampling profiler's folded stacks "
-        "(GET /profile); the full flamegraph renders inline below",
-        "observability",
-        rows,
-        ChartSpec("bar", "frame", ("samples",), y_title="samples"),
-        notes=notes,
-        extra_html=(
-            "<figure>"
-            + flamegraph_svg(stacks, title="where the samples landed")
-            + "</figure>"
-        ),
-    )
-
-
-def _self_fleet() -> dict:
-    """Fallback fleet snapshot: a three-node LocalNode fleet in-process."""
     import numpy as _np
 
     from repro.datasets.synthetic import (
@@ -667,11 +357,160 @@ def _self_fleet() -> dict:
                 },
                 {},
             )
-        return router.fleet.scrape()
+        _, status = apps[0].dispatch("GET", "/status", None, {})
+        return router.fleet.scrape(), status
     finally:
         router.close()
         for app in apps:
             app.close()
+
+
+def slo_rows(status: dict) -> tuple[list[dict], dict]:
+    """Per-operator p50/p95/p99 rows (ms) + burn counters of a ``/status``.
+
+    The body's ``slo`` section is :func:`repro.obs.metrics.slo_snapshot`:
+    quantiles under ``latency_seconds``, in seconds.
+    """
+    slo = status.get("slo")
+    if not isinstance(slo, dict):
+        raise FigureInputError(
+            "slo-quantiles: snapshot is not a /status body (no slo section)"
+        )
+    rows = []
+    for op, quantiles in sorted((slo.get("latency_seconds") or {}).items()):
+        ms = {q: v * 1000.0 for q, v in quantiles.items()}
+        rows.append(
+            {
+                "operator": op,
+                "p50_ms": ms.get("p50"),
+                "p95_ms": ms.get("p95"),
+                "p99_ms": ms.get("p99"),
+            }
+        )
+    return rows, slo.get("burn") or {}
+
+
+def _build_slo_quantiles(inputs: BuildInputs) -> FigureArtifact:
+    if inputs.slo is not None:
+        status = _load_json(
+            inputs.slo, "slo-quantiles",
+            "save one with: repro client status --format json > status.json",
+        )
+        source = str(inputs.slo)
+    else:
+        status = _self_fleet()[1]
+        source = (
+            "node n1's /status in an in-process 3-node LocalNode fleet "
+            "(no --slo input given)"
+        )
+    rows, burn = slo_rows(status)
+    notes = f"source: {source}"
+    if burn:
+        notes += "; burn counters: " + json.dumps(burn, sort_keys=True)
+    return FigureArtifact(
+        "slo-quantiles",
+        "SLO latency quantiles",
+        "per-operator p50/p95/p99 served latency as exported by /status "
+        "(histogram-derived, the numbers the SLO burn counters judge)",
+        "observability",
+        rows,
+        ChartSpec("bar", "operator", ("p50_ms", "p95_ms", "p99_ms"),
+                  y_title="latency (ms)"),
+        notes=notes,
+    )
+
+
+def _self_profile() -> tuple[dict[str, int], str]:
+    """Fallback profile: sample a tiny NNC workload in-process.
+
+    The workload runs on this thread while the profiler's own daemon
+    thread samples it — the ``start()``/``stop()`` path servers use.
+    """
+    import numpy as _np
+
+    from repro.core.nnc import NNCSearch
+    from repro.datasets.synthetic import (
+        anticorrelated_centers,
+        make_objects,
+        make_query,
+    )
+    from repro.obs.profile import SamplingProfiler
+
+    rng = _np.random.default_rng(0)
+    centers = anticorrelated_centers(150, 2, rng)
+    objects = make_objects(centers, 5, 40.0, rng)
+    search = NNCSearch(objects)
+    queries = [
+        make_query(centers[rng.integers(len(centers))], 3, 20.0, rng)
+        for _ in range(8)
+    ]
+    prof = SamplingProfiler(200.0).start()
+    try:
+        for i in range(300):
+            search.run(queries[i % len(queries)], "SSD", k=2)
+    finally:
+        prof.stop()
+    stacks = prof.stacks()
+    if not stacks:
+        raise FigureInputError(
+            "flamegraph: in-process self-profile captured no stacks; "
+            "pass --profile with a saved GET /profile body instead"
+        )
+    return stacks, (
+        f"in-process self-profile: {prof.samples} sample(s) of a tiny NNC "
+        "workload (no --profile input given)"
+    )
+
+
+def _build_flamegraph(inputs: BuildInputs) -> FigureArtifact:
+    from repro.obs.profile import flamegraph_svg, parse_folded
+
+    if inputs.profile is not None:
+        body = _load_json(
+            inputs.profile, "flamegraph",
+            "save one with: repro client profile > profile.json",
+        )
+        # `folded` carries every stack; `stacks` only the heaviest few.
+        stacks = parse_folded(str(body.get("folded") or ""))
+        if not stacks:
+            raise FigureInputError(
+                f"flamegraph: {inputs.profile} has no stacks (profiler "
+                "disabled? start the server with --profile-hz > 0)"
+            )
+        notes = (
+            f"source: {inputs.profile} ({body.get('samples')} sample(s) "
+            f"@ {body.get('hz')} Hz, node {body.get('node_id', '?')})"
+        )
+    else:
+        stacks, notes = _self_profile()
+    total = sum(stacks.values()) or 1
+    leaves: dict[str, int] = {}
+    for stack, count in stacks.items():
+        leaf = stack.rsplit(";", 1)[-1]
+        leaves[leaf] = leaves.get(leaf, 0) + count
+    rows = [
+        {
+            "frame": leaf,
+            "samples": count,
+            "percent": 100.0 * count / total,
+        }
+        for leaf, count in sorted(leaves.items(), key=lambda kv: -kv[1])[:15]
+    ]
+    return FigureArtifact(
+        "flamegraph",
+        "Continuous-profiler flamegraph",
+        "hottest leaf frames from the sampling profiler's folded stacks "
+        "(GET /profile); the full flamegraph renders inline below",
+        "observability",
+        rows,
+        ChartSpec("bar", "frame", ("samples",), y_title="samples"),
+        notes=notes,
+        extra_html=(
+            "<figure>"
+            + flamegraph_svg(stacks, title="where the samples landed")
+            + "</figure>"
+        ),
+    )
 
 
 def _fleet_quantiles_html(quantiles: dict) -> str:
@@ -702,7 +541,7 @@ def _build_fleet_overview(inputs: BuildInputs) -> FigureArtifact:
         )
         source = str(inputs.fleet)
     else:
-        body = _self_fleet()
+        body = _self_fleet()[0]
         source = "in-process 3-node LocalNode fleet (no --fleet input given)"
     nodes = body.get("nodes") or {}
     if not nodes:
@@ -748,65 +587,6 @@ def _build_fleet_overview(inputs: BuildInputs) -> FigureArtifact:
 
 
 # --------------------------------------------------------------------- #
-# Trajectory figure — across commits
-# --------------------------------------------------------------------- #
-
-# Metrics the trajectory view tracks, in display order, when present.
-TRACKED_METRICS = (
-    "e2e_speedup_geomean",
-    "serve_p99_ms",
-    "cache_hit_ratio",
-    "openloop_p99_ms",
-    "micro_speedup_geomean",
-)
-
-
-def _build_perf_trajectory(inputs: BuildInputs) -> FigureArtifact:
-    try:
-        records = trajectory.load(inputs.trajectory)
-    except ValueError as exc:
-        raise FigureInputError(f"perf-trajectory: {exc}") from exc
-    if not records:
-        raise FigureInputError(
-            f"perf-trajectory: {inputs.trajectory} is empty — run "
-            "bench_kernels.py / bench_serve.py to record a first point"
-        )
-    rows = []
-    for i, rec in enumerate(records):
-        row = {
-            "record": f"#{i} {str(rec.get('sha', '?'))[:10]}",
-            "bench": rec.get("bench"),
-            "scale": rec.get("scale"),
-            "date": rec.get("date"),
-            "branch": rec.get("branch"),
-            "cpu_count": rec.get("cpu_count"),
-        }
-        row.update(rec.get("metrics") or {})
-        rows.append(row)
-    present = [
-        m for m in TRACKED_METRICS
-        if any(row.get(m) is not None for row in rows)
-    ]
-    if not present:
-        raise FigureInputError(
-            "perf-trajectory: no tracked metrics "
-            f"({', '.join(TRACKED_METRICS)}) present in {inputs.trajectory}"
-        )
-    return FigureArtifact(
-        "perf-trajectory",
-        "Perf trajectory across commits",
-        "headline bench metrics per recorded (commit, suite) run, each "
-        "series indexed to its first record so speedups and latencies "
-        "share one axis (1.0 = first recorded value)",
-        "trajectory",
-        rows,
-        ChartSpec("line", "record", tuple(present),
-                  y_title="relative to first record (x)", indexed=True),
-        notes=f"{len(records)} record(s) from {inputs.trajectory}",
-    )
-
-
-# --------------------------------------------------------------------- #
 # The registry
 # --------------------------------------------------------------------- #
 
@@ -816,24 +596,12 @@ def _registry() -> dict[str, Figure]:
         for fid in paper_figures.FIGURES
     ]
     entries += [
-        Figure("kernels-micro", "Micro-kernel speedups", "bench",
-               _build_kernels_micro),
-        Figure("kernels-e2e", "End-to-end kernel speedups", "bench",
-               _build_kernels_e2e),
-        Figure("serve-scaling", "Shard scaling", "bench",
-               _build_serve_scaling),
-        Figure("serve-openloop", "Open-loop latency", "bench",
-               _build_serve_openloop),
-        Figure("router-scaling", "Router scaling and hedging", "bench",
-               _build_router_scaling),
-        Figure("slo-quantiles", "SLO latency quantiles", "bench",
+        Figure("slo-quantiles", "SLO latency quantiles", "observability",
                _build_slo_quantiles),
         Figure("flamegraph", "Continuous-profiler flamegraph",
                "observability", _build_flamegraph),
         Figure("fleet-overview", "Fleet overview", "observability",
                _build_fleet_overview),
-        Figure("perf-trajectory", "Perf trajectory", "trajectory",
-               _build_perf_trajectory),
     ]
     return {entry.fid: entry for entry in entries}
 
@@ -842,7 +610,7 @@ REGISTRY: dict[str, Figure] = _registry()
 
 
 def registered_ids() -> list[str]:
-    """Every figure id, registry order (paper first, then bench views)."""
+    """Every figure id, registry order (paper first, then live views)."""
     return list(REGISTRY)
 
 
@@ -927,29 +695,18 @@ def _series_of(art: FigureArtifact) -> list[str]:
 
 
 def long_rows(art: FigureArtifact) -> list[dict]:
-    """Wide rows -> ``{x, series, value}`` triples (Nones dropped).
-
-    With ``chart.indexed`` each series is divided by its first finite
-    value; the raw value rides along as ``raw`` for tooltips.
-    """
+    """Wide rows -> ``{x, series, value}`` triples (Nones dropped)."""
     chart, series = art.chart, _series_of(art)
     out = []
-    base: dict[str, float] = {}
     for row in art.rows:
         for name in series:
             value = row.get(name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 continue
-            entry = {chart.x: row.get(chart.x), "series": name,
-                     "value": float(value)}
-            if chart.indexed:
-                if name not in base and value:
-                    base[name] = float(value)
-                if not base.get(name):
-                    continue
-                entry["raw"] = float(value)
-                entry["value"] = float(value) / base[name]
-            out.append(entry)
+            out.append(
+                {chart.x: row.get(chart.x), "series": name,
+                 "value": float(value)}
+            )
     return out
 
 

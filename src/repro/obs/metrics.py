@@ -571,10 +571,9 @@ def slo_snapshot(
     ``node``-labelled series (scraped from fleet members) are excluded;
     the per-node view is ``/fleet``'s job.
 
-    The serving layer embeds this verbatim in ``/status``; the figure
-    registry's ``slo-quantiles`` builder and ``repro client status
-    --format slo-json`` consume the same shape, so dashboards and the
-    server can never drift apart.
+    The serving layer embeds this verbatim in ``/status``, and the figure
+    registry's ``slo-quantiles`` view reads it from a saved ``/status``
+    body, so dashboards and the server can never drift apart.
     """
     update_slo_gauges(registry)
     latency: dict[str, dict[str, float]] = {}

@@ -19,9 +19,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--operator", "XSD"])
 
-    def test_figure_names_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "fig99"])
+    def test_figure_names_enforced(self, capsys):
+        assert main(["figures", "fig99", "--check"]) == 2
+        # `figures` is the one figure verb; the old `figure` is gone
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["figure", "fig11f"])
+        assert exc.value.code == 2
 
 
 class TestCommands:
@@ -83,8 +86,8 @@ class TestCommands:
             assert path.exists()
 
     def test_figure_command(self, capsys):
-        # The cheapest figure at tiny scale.
-        assert main(["figure", "fig11f", "--scale", "tiny"]) == 0
+        # The cheapest figure at tiny scale; --check writes nothing.
+        assert main(["figures", "fig11f", "--scale", "tiny", "--check"]) == 0
         out = capsys.readouterr().out
         assert "Figure 11(f)" in out
         assert "SSD" in out

@@ -11,7 +11,6 @@ from benchmarks.compare_bench import (
     bench_kind,
     compare,
     compare_serve,
-    gate_verdicts,
     load_bench,
     main,
 )
@@ -169,73 +168,6 @@ class TestCompareServe:
         assert main([baseline, baseline, "--strict"]) == 0
 
 
-class TestGateVerdicts:
-    def test_all_pass_on_identical(self):
-        rows, regressions = compare(BASE, copy.deepcopy(BASE))
-        gates = gate_verdicts(rows, regressions, "operator")
-        assert [g["status"] for g in gates] == ["pass", "pass"]
-        assert all(g["measured"] is not None for g in gates)
-
-    def test_regression_maps_to_fail(self):
-        current = copy.deepcopy(BASE)
-        current["end_to_end"][0]["kernel_time"] = 1.5
-        rows, regressions = compare(BASE, current)
-        gates = {g["gate"]: g for g in gate_verdicts(rows, regressions, "operator")}
-        assert gates["SSD"]["status"] == "fail"
-        assert "threshold" in gates["SSD"]["detail"]
-        assert gates["PSD"]["status"] == "pass"
-
-    def test_one_core_skip_maps_to_skip(self, capsys):
-        current = copy.deepcopy(SERVE_BASE)
-        current["meta"] = {"cpu_count": 1}
-        rows, regressions = compare_serve(SERVE_BASE, current)
-        gates = {g["gate"]: g for g in gate_verdicts(rows, regressions, "metric")}
-        assert gates["speedup_vs_1[K=4]"]["status"] == "skip"
-        assert "cpu_count=1" in gates["speedup_vs_1[K=4]"]["detail"]
-        assert gates["cache.hit_ratio"]["status"] == "pass"
-
-    def test_rowless_regression_gets_its_own_fail_gate(self):
-        current = copy.deepcopy(SERVE_BASE)
-        current["shard_scaling"][1]["equal"] = False
-        rows, regressions = compare_serve(SERVE_BASE, current)
-        gates = gate_verdicts(rows, regressions, "metric")
-        divergence = [g for g in gates if "diverged" in (g["detail"] or "")]
-        assert len(divergence) == 1
-        assert divergence[0]["status"] == "fail"
-
-    def test_missing_operator_is_skip(self):
-        current = copy.deepcopy(BASE)
-        current["end_to_end"].append(
-            {"operator": "FSD", "kernel_time": 1.0, "scalar_time": 2.0}
-        )
-        rows, regressions = compare(BASE, current)
-        gates = {g["gate"]: g for g in gate_verdicts(rows, regressions, "operator")}
-        assert gates["FSD"]["status"] == "skip"
-
-    def test_main_writes_verdict_json(self, tmp_path, capsys):
-        current = copy.deepcopy(SERVE_BASE)
-        current["shard_scaling"][2]["speedup_vs_1"] = 0.5
-        a = _write(tmp_path, "a.json", SERVE_BASE)
-        b = _write(tmp_path, "b.json", current)
-        out = tmp_path / "verdict.json"
-        assert main([a, b, "--verdict-out", str(out)]) == 1
-        verdict = json.loads(out.read_text())
-        assert verdict["kind"] == "serve"
-        assert verdict["informational"] is False
-        statuses = {g["gate"]: g["status"] for g in verdict["gates"]}
-        assert statuses["speedup_vs_1[K=4]"] == "fail"
-        assert statuses["cache.hit_ratio"] == "pass"
-
-    def test_verdict_marks_informational_on_scale_mismatch(self, tmp_path):
-        current = copy.deepcopy(BASE)
-        current["scale"] = "large"
-        a = _write(tmp_path, "a.json", BASE)
-        b = _write(tmp_path, "b.json", current)
-        out = tmp_path / "verdict.json"
-        assert main([a, b, "--verdict-out", str(out)]) == 0
-        assert json.loads(out.read_text())["informational"] is True
-
-
 class TestLoadBench:
     def test_rejects_wrong_shape(self, tmp_path):
         path = _write(tmp_path, "bad.json", {"micro": []})
@@ -304,3 +236,26 @@ class TestMainExitCodes:
             / "benchmarks" / "results" / "BENCH_smoke_baseline.json"
         )
         assert main([baseline, baseline, "--strict"]) == 0
+
+
+class TestRetiredFlags:
+    """The bench harnesses write only their ``--out`` JSON: no verdict
+    files, no trajectory store.  The flags that fed them are usage errors."""
+
+    def test_verdict_out_is_a_usage_error(self, tmp_path):
+        a = _write(tmp_path, "a.json", BASE)
+        with pytest.raises(SystemExit) as exc:
+            main([a, a, "--verdict-out", str(tmp_path / "v.json")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("module", ["bench_kernels", "bench_serve"])
+    @pytest.mark.parametrize("argv", [
+        ["--trajectory", "x.jsonl"], ["--no-trajectory"],
+    ], ids=["trajectory", "no-trajectory"])
+    def test_trajectory_flags_are_usage_errors(self, module, argv):
+        import importlib
+
+        bench = importlib.import_module(f"benchmarks.{module}")
+        with pytest.raises(SystemExit) as exc:
+            bench.main(argv)
+        assert exc.value.code == 2

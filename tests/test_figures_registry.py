@@ -1,4 +1,4 @@
-"""Tests for the figure registry, provenance, trajectory and dashboard."""
+"""Tests for the figure registry, provenance and dashboard."""
 
 from __future__ import annotations
 
@@ -10,22 +10,20 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.experiments import provenance, registry, trajectory
+from repro.experiments import provenance, registry
 from repro.experiments.dashboard import render_dashboard, svg_chart
+from repro.experiments.figures import FIGURES
 from repro.obs.metrics import MetricsRegistry, slo_snapshot
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ALL_IDS = registry.registered_ids()
+LIVE_VIEWS = ("slo-quantiles", "flamegraph", "fleet-overview")
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """Smoke-scale inputs with a synthetic two-record trajectory store."""
-    traj = tmp_path_factory.mktemp("traj") / "trajectory.jsonl"
-    for name in ("BENCH_kernels.json", "BENCH_serve.json"):
-        payload = json.loads((REPO_ROOT / name).read_text())
-        trajectory.append(traj, trajectory.record_for(payload))
-    return registry.BuildInputs(scale="smoke", trajectory=traj)
+def inputs():
+    """Smoke-scale paper figures; live views build from their fallbacks."""
+    return registry.BuildInputs(scale="smoke")
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +45,13 @@ class TestEveryRegisteredFigure:
         summary = registry.self_check(art)
         assert summary["rows"] > 0
         assert art.fid == fid
-        assert art.category in (
-            "paper", "bench", "observability", "trajectory"
-        )
+        assert art.category in ("paper", "observability")
+
+    def test_paper_note_on_paper_figures_only(self, fid, inputs, built):
+        art = _artifact(fid, inputs, built)
+        assert bool(art.paper_note) == (art.category == "paper")
+        if art.paper_note:
+            assert art.paper_note.startswith("Paper")
 
     def test_vega_lite_spec_shape(self, fid, inputs, built):
         spec = registry.vega_lite_spec(_artifact(fid, inputs, built))
@@ -78,12 +80,11 @@ class TestRegistryLookup:
         assert "registered ids" in str(exc.value)
 
     def test_get_returns_entry(self):
-        fig = registry.get("kernels-e2e")
-        assert fig.category == "bench"
+        fig = registry.get("fleet-overview")
+        assert fig.category == "observability"
 
-    def test_registry_covers_paper_and_bench(self):
-        assert {"fig10", "fig16", "kernels-micro", "serve-scaling",
-                "slo-quantiles", "perf-trajectory"} <= set(ALL_IDS)
+    def test_registry_is_paper_figures_plus_live_views(self):
+        assert ALL_IDS == [*FIGURES, *LIVE_VIEWS]
 
 
 class TestProvenance:
@@ -106,63 +107,6 @@ class TestProvenance:
         rec = provenance.git_describe(tmp_path)
         assert rec["sha"] == "unknown"
         assert rec["branch"] == "unknown"
-
-
-class TestTrajectory:
-    RECORD = {
-        "bench": "kernels", "scale": "tiny", "sha": "abc123",
-        "branch": "main", "date": "2026-08-07T00:00:00Z",
-        "cpu_count": 4, "hostname": "box",
-        "metrics": {"e2e_speedup_geomean": 10.0},
-    }
-
-    def test_append_is_idempotent_per_key(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        assert trajectory.append(path, dict(self.RECORD)) == "appended"
-        assert trajectory.append(path, dict(self.RECORD)) == "unchanged"
-        assert len(trajectory.load(path)) == 1
-
-    def test_same_key_fresher_numbers_replace(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        trajectory.append(path, dict(self.RECORD))
-        fresher = dict(self.RECORD, metrics={"e2e_speedup_geomean": 11.0})
-        assert trajectory.append(path, fresher) == "replaced"
-        records = trajectory.load(path)
-        assert len(records) == 1
-        assert records[0]["metrics"]["e2e_speedup_geomean"] == 11.0
-
-    def test_new_sha_appends(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        trajectory.append(path, dict(self.RECORD))
-        trajectory.append(path, dict(self.RECORD, sha="def456"))
-        assert len(trajectory.load(path)) == 2
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert trajectory.load(tmp_path / "absent.jsonl") == []
-
-    def test_load_locates_corrupt_lines(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(ValueError, match=r"t\.jsonl:2"):
-            trajectory.load(path)
-
-    def test_record_for_rejects_unknown_payloads(self):
-        with pytest.raises(ValueError, match="neither"):
-            trajectory.record_for({"something": "else"})
-
-    def test_record_for_prefers_stamped_provenance(self):
-        payload = {
-            "scale": "tiny", "end_to_end": [],
-            "meta": {"provenance": {"sha": "feedface", "branch": "x"}},
-        }
-        rec = trajectory.record_for(payload)
-        assert rec["sha"] == "feedface"
-        assert rec["branch"] == "x"
-
-    def test_empty_trajectory_is_a_located_figure_error(self, tmp_path):
-        inputs = registry.BuildInputs(trajectory=tmp_path / "empty.jsonl")
-        with pytest.raises(registry.FigureInputError, match="perf-trajectory"):
-            registry.build_figure("perf-trajectory", inputs)
 
 
 class TestSloSnapshot:
@@ -194,46 +138,69 @@ class TestSloSnapshot:
         assert rows[0]["p99_ms"] > rows[0]["p50_ms"] > 0
         assert burn == {"latency": 2.0}
 
-    def test_slo_rows_accepts_slo_json_shape(self):
-        rows, burn = registry.slo_rows({
-            "latency_ms": {"SSD": {"p50": 1.0, "p95": 2.0, "p99": 3.0}},
-            "burn": {"error": 1},
-        })
-        assert rows == [
-            {"operator": "SSD", "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0}
-        ]
-        assert burn == {"error": 1}
-
     def test_slo_rows_rejects_garbage(self):
         with pytest.raises(registry.FigureInputError):
             registry.slo_rows({"nope": 1})
+        # the retired figure-ready shape is not a /status body either
+        with pytest.raises(registry.FigureInputError):
+            registry.slo_rows({"latency_ms": {"SSD": {"p50": 1.0}}})
+
+    def test_fallback_reads_a_node_status(self, inputs, built):
+        art = _artifact("slo-quantiles", inputs, built)
+        assert [row["operator"] for row in art.rows] == ["SSD"]
+        assert art.rows[0]["p99_ms"] >= art.rows[0]["p50_ms"] > 0
+        assert "node n1" in art.notes
+
+    def test_saved_status_body_is_the_input(self, tmp_path):
+        body = {"slo": slo_snapshot(self._registry_with_traffic(), 250.0)}
+        path = tmp_path / "status.json"
+        path.write_text(json.dumps(body))
+        art = registry.build_figure(
+            "slo-quantiles", registry.BuildInputs(slo=path)
+        )
+        assert [row["operator"] for row in art.rows] == ["FSD"]
+        assert str(path) in art.notes
+
+
+class TestSavedBodies:
+    def test_flamegraph_reads_a_profile_body(self, tmp_path):
+        from repro.obs.profile import SamplingProfiler
+
+        prof = SamplingProfiler(100.0)
+        for _ in range(3):
+            prof.sample_once()  # samples this (busy) thread
+        body = dict(prof.snapshot(top=1), node_id="n1")
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(body))
+        art = registry.build_figure(
+            "flamegraph", registry.BuildInputs(profile=path)
+        )
+        assert sum(row["samples"] for row in art.rows) == 3
+        assert str(path) in art.notes and "node n1" in art.notes
+
+    def test_profile_body_without_stacks_is_an_input_error(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"enabled": False, "folded": ""}))
+        with pytest.raises(registry.FigureInputError, match="no stacks"):
+            registry.build_figure(
+                "flamegraph", registry.BuildInputs(profile=path)
+            )
 
 
 class TestDashboard:
     def test_render_is_self_contained_html(self, inputs, built):
         arts = [
-            _artifact("kernels-e2e", inputs, built),
-            _artifact("perf-trajectory", inputs, built),
+            _artifact("fig11f", inputs, built),
+            _artifact("fleet-overview", inputs, built),
         ]
-        verdict = {
-            "kind": "kernels", "baseline": "a.json", "current": "b.json",
-            "informational": False,
-            "gates": [
-                {"gate": "SSD", "status": "pass", "measured": 0.5,
-                 "baseline": 0.5, "detail": "+0.0%"},
-                {"gate": "PSD", "status": "skip", "measured": None,
-                 "baseline": None, "detail": "SKIPPED (cpu_count=1)"},
-            ],
-        }
         html = render_dashboard(
-            arts, verdicts=[verdict],
-            provenance_record=provenance.collect(), scale="smoke",
+            arts, provenance_record=provenance.collect(), scale="smoke",
         )
         assert html.startswith("<!doctype html>")
         for art in arts:
             assert f'id="{art.fid}"' in html
             assert f"data/{art.fid}.csv" in html
-        assert "Bench gates" in html
+        assert arts[0].paper_note in html  # the paper's note rides along
         assert "<svg" in html
         assert "prefers-color-scheme: dark" in html
         # Self-contained: no external scripts, stylesheets, or images.
@@ -241,9 +208,9 @@ class TestDashboard:
         assert 'src="http' not in html and "@import" not in html
 
     def test_svg_chart_draws_marks(self, inputs, built):
-        line_svg = svg_chart(_artifact("perf-trajectory", inputs, built))
+        line_svg = svg_chart(_artifact("fig11f", inputs, built))
         assert "<polyline" in line_svg
-        bar_svg = svg_chart(_artifact("kernels-e2e", inputs, built))
+        bar_svg = svg_chart(_artifact("fleet-overview", inputs, built))
         assert "<rect" in bar_svg
         assert "<title>" in bar_svg  # native tooltips
 
@@ -252,8 +219,8 @@ class TestFiguresCli:
     def test_list(self, capsys):
         assert main(["figures", "--list"]) == 0
         out = capsys.readouterr().out
-        for fid in ("fig10", "kernels-micro", "perf-trajectory"):
-            assert fid in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [*FIGURES, *LIVE_VIEWS]
 
     def test_no_ids_is_usage_error(self, capsys):
         assert main(["figures"]) == 2
@@ -265,18 +232,18 @@ class TestFiguresCli:
 
     def test_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["figures", "kernels-micro", "--check"]) == 0
+        assert main(["figures", "fleet-overview", "--check"]) == 0
         assert "self-check ok" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
     def test_build_writes_csv_spec_and_dashboard(self, tmp_path, capsys):
         out_dir = tmp_path / "dash"
         assert main([
-            "figures", "kernels-e2e", "slo-quantiles",
+            "figures", "fleet-overview", "slo-quantiles",
             "--out-dir", str(out_dir),
         ]) == 0
         assert (out_dir / "index.html").exists()
-        for fid in ("kernels-e2e", "slo-quantiles"):
+        for fid in ("fleet-overview", "slo-quantiles"):
             assert (out_dir / "data" / f"{fid}.csv").exists()
             spec = json.loads(
                 (out_dir / "specs" / f"{fid}.vl.json").read_text()
@@ -285,32 +252,26 @@ class TestFiguresCli:
 
     def test_missing_input_is_exit_1(self, tmp_path, capsys):
         assert main([
-            "figures", "kernels-e2e",
-            "--kernels", str(tmp_path / "absent.json"),
+            "figures", "slo-quantiles",
+            "--slo", str(tmp_path / "absent.json"),
             "--check",
         ]) == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_verdict_lands_on_dashboard(self, tmp_path):
-        verdict = tmp_path / "verdict.json"
-        verdict.write_text(json.dumps({
-            "kind": "kernels", "baseline": "a", "current": "b",
-            "informational": False,
-            "gates": [{"gate": "SSD", "status": "fail", "measured": 1.0,
-                       "baseline": 0.5, "detail": "regressed"}],
-        }))
-        out_dir = tmp_path / "dash"
-        assert main([
-            "figures", "kernels-micro", "--out-dir", str(out_dir),
-            "--verdict", str(verdict),
-        ]) == 0
-        html = (out_dir / "index.html").read_text()
-        assert "Bench gates" in html and "regressed" in html
+    def test_table_prints_before_the_self_check_line(self, capsys):
+        assert main(["figures", "fleet-overview", "--check"]) == 0
+        out = capsys.readouterr().out
+        table = out.index("Fleet overview — per-node status")
+        assert out.index("node ", table) < out.index("self-check ok")
 
-    def test_client_status_accepts_slo_json_format(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["client", "status", "--format", "slo-json"]
-        )
-        assert args.format == "slo-json"
+    @pytest.mark.parametrize("argv", [
+        ["figures", "--kernels", "x.json", "--check"],
+        ["figures", "--serve", "x.json", "--check"],
+        ["figures", "--trajectory", "x.jsonl", "--check"],
+        ["figures", "--verdict", "x.json", "--check"],
+        ["client", "status", "--format", "slo-json"],
+    ], ids=["kernels", "serve", "trajectory", "verdict", "slo-json"])
+    def test_retired_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -149,6 +149,31 @@ class TestSearchReuse:
         assert ctx.counters.objects_visited > 0
         assert ctx.counters.dominance_checks > 0
 
+    def test_counters_survive_a_search_started_mid_run(self, rng):
+        # Serving shares one search per shard across threads; a search that
+        # starts on the same instance while `run` is in progress must not
+        # hand its counter bag to the running query's result.
+        from repro.core.operators import SSDOperator
+
+        objects, query = random_scene(rng, n_objects=20, m=3, m_q=2)
+        other_query = random_object(rng, m=2, oid="Q2")
+        search = NNCSearch(objects)
+        other = QueryContext(other_query)
+        started = []
+
+        class Interleaving(SSDOperator):
+            def dominates(self, u, v, ctx, **kw):
+                if not started:
+                    started.append(next(search.stream(
+                        other_query, "SSD", ctx=other), None))
+                return super().dominates(u, v, ctx, **kw)
+
+        ctx = QueryContext(query)
+        result = search.run(query, Interleaving(), ctx=ctx)
+        assert started, "the operator never ran a dominance check"
+        assert result.counters is ctx.counters
+        assert result.counters is not other.counters
+
     def test_operator_instance_accepted(self, rng):
         from repro.core.operators import make_operator
 

@@ -37,6 +37,7 @@ from repro.serve.shm import (
     pack_shard,
     pool_run_one,
     segment_exists,
+    unpack_shard,
 )
 
 from .test_serve_shard import shard_scenes
@@ -143,6 +144,20 @@ class TestSegments:
                 _release_mapping(shm, holder)
         finally:
             store.close()
+
+    def test_mask_object_after_round_trip(self, workload):
+        # Durable recovery deletes objects on unpacked searches: membership
+        # must be indexed on the unpacked object list, not the packed one.
+        objects, _ = workload
+        rebuilt = unpack_shard(pack_shard(NNCSearch(objects[:30])))
+        member = rebuilt.objects[7]
+        assert rebuilt.mask_object(member)
+        assert not rebuilt.mask_object(member)
+        assert not rebuilt.mask_object(objects[7])  # the packed original
+        assert not rebuilt.mask_object(objects[40])
+        assert rebuilt.compact() == 1
+        assert rebuilt.mask_object(rebuilt.objects[0])
+        assert not rebuilt.mask_object(member)
 
     def test_empty_shard_packs(self):
         parent = NNCSearch([])
