@@ -4,6 +4,7 @@ NN candidate search evaluates many dominance checks against one query; the
 context caches everything reusable across those checks:
 
 * the convex hull of the query instances (geometric filter, Section 5.1.2),
+  built on first read — only P-SD and F-SD read it,
 * the query MBR,
 * per-object distance distributions ``U_Q`` and per-query-instance
   distributions ``U_q``,
@@ -23,7 +24,7 @@ import numpy as np
 from repro.core import kernels as K
 from repro.core.counters import Counters
 from repro.obs.tracer import NULL_TRACER
-from repro.geometry.convexhull import convex_hull
+from repro.geometry.convexhull import Hull, convex_hull
 from repro.geometry.distance import is_euclidean, resolve_norm
 from repro.geometry.mbr import MBR
 from repro.objects.uncertain import UncertainObject
@@ -40,7 +41,8 @@ class QueryContext:
             omitted).
         use_hull: when True (default) the geometric filter replaces the query
             instance set with its convex hull vertices for instance-ordering
-            tests; disabling reproduces the "no geometry" ablation rows.
+            tests and enables P-SD's hull-interior rule; disabling
+            reproduces the "no geometry" ablation rows.
         level_groups: number of groups the level-by-level filters partition
             each object into (via its local R-tree).
         metric: distance metric name ("euclidean", "manhattan"/"l1",
@@ -123,10 +125,8 @@ class QueryContext:
         self.is_euclidean = is_euclidean(metric)
         self.norm = None if self.is_euclidean else resolve_norm(metric)
         self.query_mbr: MBR = query.mbr
-        if use_hull and self.is_euclidean and len(query) > 2:
-            self.hull_points = convex_hull(query.points)
-        else:
-            self.hull_points = query.points
+        self._reduce = use_hull and self.is_euclidean and len(query) > 2
+        self._hull: Hull | None = None
         self._dist_matrices: dict[int, np.ndarray] = {}
         self._dist_dists: dict[int, DiscreteDistribution] = {}
         self._per_q_dists: dict[int, list[DiscreteDistribution]] = {}
@@ -170,6 +170,27 @@ class QueryContext:
             self.unresolved_events.append((site, reason))
 
     # ------------------------------------------------------------------ #
+
+    @property
+    def hull(self) -> Hull | None:
+        """``CH(Q)`` with its facet half-spaces, built on first read.
+
+        ``None`` when the context keeps every query instance: ``use_hull``
+        off, a non-Euclidean metric, or at most two instances.
+        """
+        if self._hull is None and self._reduce:
+            self._hull = convex_hull(self.query.points)
+        return self._hull
+
+    @property
+    def hull_points(self) -> np.ndarray:
+        """The query points ``<=_Q`` tests run against.
+
+        The vertices of :attr:`hull`, or ``query.points`` itself (the same
+        object) when the context keeps every instance.
+        """
+        hull = self.hull
+        return self.query.points if hull is None else hull.points
 
     def distance_matrix(self, obj: UncertainObject) -> np.ndarray:
         """Raw pair-distance matrix, shape ``(|Q|, m)``, cached.

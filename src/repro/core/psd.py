@@ -44,13 +44,15 @@ _FLOW_TOL = 1e-6
 def point_in_query_hull(point: np.ndarray, ctx: QueryContext) -> bool:
     """Whether ``point`` lies inside the convex hull of the query instances.
 
-    Exact in 1-d/2-d; conservative (may return False for borderline interior
-    points) in higher dimensions, which only weakens the geometric filter,
-    never correctness.
+    A half-space test against ``ctx.hull``'s facets with a margin, so a
+    borderline point answers False — that only skips the hull-interior
+    rule, never changes a verdict.  A context without a hull (``use_hull``
+    off, non-Euclidean, at most two query instances) answers False.
     """
-    if not ctx.query_mbr.contains_point(point):
+    hull = ctx.hull
+    if hull is None or not ctx.query_mbr.contains_point(point):
         return False
-    return point_in_hull(point, ctx.hull_points)
+    return point_in_hull(point, hull)
 
 
 def psd_adjacency(
@@ -252,7 +254,7 @@ def p_dominates(
         if not ss_dominates(u, v, ctx, use_level=False, mbr_checked=mbr_checked):
             ctx.counters.pruned_by_cover += 1
             return False
-    if use_geometry:
+    if use_geometry and ctx.hull is not None:
         if ctx.kernels:
             # Batch box prefilter: only instances inside the query MBR can be
             # hull-interior, so the exact hull test runs on that subset only.

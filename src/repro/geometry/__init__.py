@@ -11,7 +11,7 @@ algorithms depend on:
   ``u <=_Q v`` (:mod:`repro.geometry.halfspace`).
 """
 
-from repro.geometry.convexhull import convex_hull, convex_hull_indices, point_in_hull
+from repro.geometry.convexhull import Hull, convex_hull, point_in_hull
 from repro.geometry.distance import (
     chebyshev,
     euclidean,
@@ -24,11 +24,11 @@ from repro.geometry.halfspace import closer_to_query, distance_vector
 from repro.geometry.mbr import MBR, mbr_dominates
 
 __all__ = [
+    "Hull",
     "MBR",
     "chebyshev",
     "closer_to_query",
     "convex_hull",
-    "convex_hull_indices",
     "distance_vector",
     "euclidean",
     "manhattan",

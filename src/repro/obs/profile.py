@@ -68,6 +68,9 @@ _IDLE_LEAVES: frozenset[tuple[str, str]] = frozenset(
         ("socket", "recv_into"),
         ("ssl", "read"),
         ("queue", "get"),
+        # A parked executor worker blocks in the C-level SimpleQueue.get,
+        # so its Python leaf is the worker loop itself.
+        ("concurrent.futures.thread", "_worker"),
     }
 )
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import repro.core.context as context_mod
 from repro.core.context import QueryContext
 from repro.core.counters import Counters
+from repro.core.nnc import NNCSearch
 from repro.objects.uncertain import UncertainObject
 
-from .conftest import random_object
+from .conftest import random_object, random_scene
 
 
 class TestCaching:
@@ -80,6 +82,59 @@ class TestConfiguration:
         own = Counters()
         assert QueryContext(query, counters=own).counters is own
         assert isinstance(QueryContext(query).counters, Counters)
+
+
+class TestLazyHull:
+    """Only P-SD and F-SD read CH(Q); the context builds it on first read."""
+
+    @staticmethod
+    def _scene(m_q=8):
+        return random_scene(np.random.default_rng(11), n_objects=25, dim=3, m=5, m_q=m_q)
+
+    @staticmethod
+    def _forbid_hull(monkeypatch):
+        def refuse(points):
+            raise AssertionError("convex hull built")
+
+        monkeypatch.setattr(context_mod, "convex_hull", refuse)
+
+    @pytest.mark.parametrize("kind", ["SSD", "SSSD"])
+    def test_distribution_operators_never_build_it(self, monkeypatch, kind):
+        objects, query = self._scene()
+        expected = NNCSearch(objects).run(query, kind).oids()
+        self._forbid_hull(monkeypatch)
+        result = NNCSearch(objects).run(query, kind, ctx=QueryContext(query))
+        assert result.oids() == expected
+
+    @pytest.mark.parametrize("kind", ["PSD", "FSD"])
+    def test_geometric_operators_build_it_once(self, monkeypatch, kind):
+        objects, query = self._scene()
+        calls = []
+        real = context_mod.convex_hull
+
+        def counted(points):
+            calls.append(points)
+            return real(points)
+
+        monkeypatch.setattr(context_mod, "convex_hull", counted)
+        ctx = QueryContext(query)
+        NNCSearch(objects).run(query, kind, ctx=ctx, k=2)
+        assert len(calls) == 1
+        assert len(ctx.hull_points) < len(query)
+
+    @pytest.mark.parametrize(
+        "options, m_q",
+        [({"use_hull": False}, 8), ({"metric": "manhattan"}, 8), ({}, 2)],
+        ids=["use_hull-off", "manhattan", "two-instances"],
+    )
+    def test_kept_query_never_builds_it(self, monkeypatch, options, m_q):
+        objects, query = self._scene(m_q)
+        self._forbid_hull(monkeypatch)
+        for kind in ("SSD", "SSSD", "PSD", "FSD"):
+            ctx = QueryContext(query, **options)
+            NNCSearch(objects).run(query, kind, ctx=ctx)
+            assert ctx.hull is None
+            assert ctx.hull_points is query.points
 
 
 class TestCounters:

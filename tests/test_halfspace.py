@@ -40,7 +40,7 @@ class TestCloserToQuery:
     def test_hull_vertices_suffice(self, u, v, query_points):
         """Checking only CH(Q) must agree with checking all of Q."""
         full = closer_to_query(u, v, query_points)
-        hull = convex_hull(query_points)
+        hull = convex_hull(query_points).points
         reduced = closer_to_query(u, v, hull)
         assert full == reduced
 
@@ -48,7 +48,7 @@ class TestCloserToQuery:
     @settings(max_examples=60, deadline=None)
     def test_interior_points_inherit(self, u, v, query_points):
         """If u <=_Q v on the hull, it holds for arbitrary convex combos."""
-        hull = convex_hull(query_points)
+        hull = convex_hull(query_points).points
         if not closer_to_query(u, v, hull):
             return
         rng = np.random.default_rng(3)

@@ -9,6 +9,8 @@ instead of a wall-clock race.
 from __future__ import annotations
 
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -101,6 +103,18 @@ class TestSampling:
             parked.join(timeout=5.0)
         # The Event.wait leaf (threading:wait) never becomes a stack.
         assert not any("Event.wait" in s for s in prof.stacks())
+
+    def test_parked_executor_worker_counts_idle_not_stack(self):
+        prof = SamplingProfiler(0.0)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(int).result()
+            time.sleep(0.05)  # the worker returns to its queue and parks
+            for _ in range(20):
+                prof.sample_once(skip_thread=threading.get_ident())
+        assert prof.idle >= 20
+        assert not any(
+            s.endswith("concurrent.futures.thread:_worker") for s in prof.stacks()
+        )
 
     def test_skip_thread_excludes_the_sampler_itself(self):
         prof = SamplingProfiler(0.0)

@@ -55,7 +55,10 @@ class TestGeometryFilter:
         )
         ctx = QueryContext(q)
         assert point_in_query_hull(np.array([2.0, 2.0]), ctx)
-        assert point_in_query_hull(np.array([0.0, 0.0]), ctx)  # vertex
+        assert point_in_query_hull(np.array([0.01, 3.99]), ctx)
+        # Boundary points are borderline: reported outside, the rule skips.
+        assert not point_in_query_hull(np.array([0.0, 0.0]), ctx)  # vertex
+        assert not point_in_query_hull(np.array([2.0, 4.0]), ctx)  # edge
         assert not point_in_query_hull(np.array([5.0, 2.0]), ctx)
 
     def test_mbr_prefilter(self):
