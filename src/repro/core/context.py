@@ -304,20 +304,14 @@ class QueryContext:
 
         Returns ``(vals, cum)`` with ``vals`` the ``(|Q|, m)`` matrix sorted
         along each row and ``cum`` the ``(|Q|, m + 1)`` cumulative masses in
-        that order (leading zero column) — the per-``q`` CDFs of the object,
-        ready for the merge-rank dominance kernel.  The accumulation order
-        matches the scalar scan's, so borderline tolerance comparisons agree.
+        that order (leading zero column) — the per-``q`` CDFs of the object
+        (:meth:`per_instance_distributions`), ready for the merge-rank
+        dominance kernel; see :func:`repro.core.kernels.sorted_rows`.
         """
         key = id(obj)
         out = self._sorted_rows.get(key)
         if out is None:
-            mat = self.distance_matrix(obj)  # (|Q|, m)
-            order = np.argsort(mat, axis=1, kind="stable")
-            vals = np.take_along_axis(mat, order, axis=1)
-            probs = np.asarray(obj.probs, dtype=float)[order]
-            cum = np.zeros((mat.shape[0], mat.shape[1] + 1))
-            np.cumsum(probs, axis=1, out=cum[:, 1:])
-            out = (vals, cum)
+            out = K.sorted_rows(self.distance_matrix(obj), obj.probs)
             self._sorted_rows[key] = out
         return out
 

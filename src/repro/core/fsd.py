@@ -131,4 +131,41 @@ def _extremes_ok(
         u_max = du.max(axis=0)
         v_min = dv.min(axis=0)
     ctx.counters.count_comparisons(u_max.size)
-    return not np.any(u_max > v_min + _TOL)
+    return not extremes_violated(u_max, v_min)
+
+
+def extremes_violated(u_max: np.ndarray, v_min: np.ndarray) -> np.ndarray:
+    """Whether ``delta_max(q, U) > delta_min(q, V)`` at some hull vertex.
+
+    ``u_max`` is one ``(k,)`` vector or an ``(n, k)`` stack of them (the
+    search's screen over every accepted candidate at once); the answer has
+    the leading shape.  True means F-SD fails for that ``U``.
+    """
+    return np.any(u_max > v_min + _TOL, axis=-1)
+
+
+def batch_extremes(
+    hull_max,
+    v: UncertainObject,
+    ctx: QueryContext,
+    *,
+    use_local_trees: bool,
+    mbr_checked: bool,
+) -> tuple[np.ndarray | None, tuple | None]:
+    """The hull-extremes stage of :func:`fsd_dominates` for many ``U`` at once.
+
+    ``hull_max()`` returns the ``(n, k)`` stack of the candidates'
+    ``ctx.hull_extremes(u)[0]``; it is called only when the stage runs here.
+    Returns ``(failed, tally)``: which candidates the stage rejects, and the
+    counter deltas ``(dominance_checks, mbr_tests, instance_comparisons,
+    pruned_by_statistics, pruned_by_cover)`` a kernel-path call records for
+    such a pair, whose strict MBR test failed (the caller ran it when
+    ``mbr_checked``, and it is counted here).  ``(None, None)`` where local
+    trees answer the extremes: they stop at the first failing vertex, so
+    their cost is per pair.
+    """
+    if use_local_trees and ctx.is_euclidean:
+        return None, None
+    u_max = hull_max()
+    failed = extremes_violated(u_max, ctx.hull_extremes(v)[1])
+    return failed, (1, int(mbr_checked), u_max.shape[1], 0, 0)

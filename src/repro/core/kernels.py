@@ -10,9 +10,10 @@ P-SD, F-SD) and the NNC search share them:
   object in one broadcast (:func:`distance_matrix`), replacing per-pair
   metric calls;
 * **stochastic-order checks** — the single-scan CDF sweep of Section 5.1.1
-  evaluated with ``searchsorted`` over the union support
-  (:func:`cdf_dominates`), and its 3-d broadcast over all query instances at
-  once (:func:`cdf_dominates_many`) for the SS-SD per-``q`` loop;
+  evaluated at ``Y``'s jump points with ``searchsorted``
+  (:func:`cdf_dominates`), and row-wise over all query instances at once
+  for the SS-SD per-``q`` loop (:func:`cdf_dominates_sorted`, with the
+  order-free :func:`cdf_dominates_many` as its reference);
 * **MBR bounds** — ``mindist``/``maxdist`` of partition MBRs against the
   whole query instance array (:func:`partition_bounds`), node children
   against the query box (:func:`children_mindist_box`), and the optimal
@@ -42,6 +43,7 @@ import numpy as np
 from repro.geometry.distance import pairwise_distances, resolve_metric
 from repro.geometry.halfspace import adjacency_from_vectors
 from repro.obs.metrics import SIZE_BUCKETS
+from repro.stats.distribution import _PROB_TOL, DiscreteDistribution
 from repro.geometry.mbr import (
     boxes_maxdist_point,
     boxes_maxdist_points,
@@ -75,6 +77,7 @@ __all__ = [
     "partition_bounds",
     "points_in_box",
     "record",
+    "sorted_rows",
     "statistic_prune",
 ]
 
@@ -265,6 +268,56 @@ def _union_counts(vals: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return ranks[:, n:] - np.arange(g)
 
 
+def sorted_rows(mat: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``mat`` as a distribution over ``probs``, for the row sweep.
+
+    Returns ``(vals, cum)``: the ``(k, n)`` rows sorted, and the
+    ``(k, n + 1)`` prefix sums of ``probs`` in that order (leading zero
+    column), accumulated in the scalar scan's order so borderline tolerance
+    comparisons agree.  With equal masses every row shares one prefix sum,
+    so the rows are sorted by value alone and ``cum`` is a read-only
+    broadcast of that one row.
+
+    A row is what :class:`DiscreteDistribution` holds, unmerged: summing
+    exact ties changes no CDF value.  A row that the distribution changes
+    otherwise (values less than ``1e-12`` apart are merged into their run's
+    first value, atoms of mass ``<= 1e-9`` dropped) is replaced by that
+    distribution, the one the scalar scan reads, padded with ``+inf``
+    values that add no mass.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs[0] == probs[-1] and (probs == probs[0]).all():
+        vals = np.sort(mat, axis=1)
+        row = np.zeros(mat.shape[1] + 1)
+        np.cumsum(probs, out=row[1:])
+        cum = np.broadcast_to(row, (mat.shape[0], row.size))
+        tiny = probs[0] <= _PROB_TOL
+    else:
+        order = np.argsort(mat, axis=1, kind="stable")
+        vals = np.take_along_axis(mat, order, axis=1)
+        cum = np.zeros((mat.shape[0], mat.shape[1] + 1))
+        np.cumsum(probs[order], axis=1, out=cum[:, 1:])
+        tiny = probs.min() <= _PROB_TOL
+    gaps = vals[:, 1:] - vals[:, :-1]
+    if tiny:
+        merged = np.ones(vals.shape[0], dtype=bool)
+    elif gaps.size and gaps.min() <= _CDF_TIE:  # ties of any kind: rare
+        merged = np.any((gaps > 0.0) & (gaps <= _CDF_TIE), axis=1)
+    else:
+        return vals, cum
+    if merged.any():
+        vals = vals.copy()
+        cum = cum.copy()
+        for r in np.flatnonzero(merged):
+            dist = DiscreteDistribution(mat[r], probs)
+            n = dist.values.size
+            vals[r, :n] = dist.values
+            vals[r, n:] = np.inf
+            cum[r, : n + 1] = dist.cum_probs()
+            cum[r, n + 1 :] = cum[r, n]
+    return vals, cum
+
+
 def cdf_dominates_sorted(
     x_vals: np.ndarray,
     x_cum: np.ndarray,
@@ -279,13 +332,20 @@ def cdf_dominates_sorted(
     Same contract as :func:`cdf_dominates_many`, but consumes the
     :meth:`QueryContext.sorted_rows` representation — ``(k, n)`` row-sorted
     values plus ``(k, n + 1)`` cumulative masses — replacing the masked
-    ``O(k g n)`` summation with ``O(k g log g)`` merge ranks.
+    ``O(k g n)`` summation with one ``O(k g log g)`` merge.
+
+    ``cdf_x`` is read only at ``Y``'s jump points, as in :func:`cdf_dominates`
+    and the scalar scan: after absorbing ``Y``'s atom ``j`` the scan holds
+    every ``X`` atom within ``1e-12`` of it, so its failure test is
+    ``cdf_x(y_j + 1e-12) < cum_y[j + 1] - tol``.  Rows from
+    :func:`sorted_rows` hold the distributions the scan reads, so the
+    verdicts are the scan's; the ``+inf`` padding there adds no mass, and its
+    checks read ``X``'s total mass, which ``Y``'s last real atom already
+    bounds.
     """
     record(counters, x_vals.size + y_vals.size, kernel="cdf_dominates_sorted")
-    grid = np.sort(np.concatenate([x_vals, y_vals], axis=1), axis=1) + _CDF_TIE
-    cdf_x = np.take_along_axis(x_cum, _union_counts(x_vals, grid), axis=1)
-    cdf_y = np.take_along_axis(y_cum, _union_counts(y_vals, grid), axis=1)
-    ok = np.all(cdf_x >= cdf_y - tol, axis=1)
+    cdf_x = np.take_along_axis(x_cum, _union_counts(x_vals, y_vals + _CDF_TIE), axis=1)
+    ok = np.all(cdf_x >= y_cum[:, 1:] - tol, axis=1)
     mass_ok = np.abs(x_cum[:, -1] - y_cum[:, -1]) <= _MASS_TOL
     return ok & mass_ok
 

@@ -30,6 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.core import fsd, psd, sssd
 from repro.core import kernels as K
 from repro.core.context import QueryContext
 from repro.core.counters import Counters
@@ -98,50 +99,41 @@ def _mbr_screen_applies(operator: _BaseOperator, ctx: QueryContext) -> bool:
 class _AcceptedIndex:
     """Stacked arrays over the accepted candidates for the batch screens.
 
-    ``_entry_pruned`` and the statistic screen run on every heap pop, but
-    the accepted set changes only on accept/evict; the stacks are rebuilt
-    lazily against a revision counter bumped at each mutation, so steady
-    state pays one numpy call per pop instead of one ``np.stack`` each.
+    ``_entry_pruned`` and the pair screens run on every heap pop, but the
+    accepted set changes only on accept/evict; each stack is rebuilt lazily
+    against a revision counter bumped at each mutation, so steady state pays
+    one numpy call per pop instead of one ``np.stack`` each.
     """
 
-    __slots__ = (
-        "rev",
-        "_boxes_rev",
-        "_stats_rev",
-        "_corner_rev",
-        "los",
-        "his",
-        "stats",
-        "corner",
-    )
+    __slots__ = ("rev", "_stacks")
 
     def __init__(self) -> None:
         self.rev = 0
-        self._boxes_rev = -1
-        self._stats_rev = -1
-        self._corner_rev = -1
-        self.los = self.his = self.stats = self.corner = None
+        self._stacks: dict[str, object] = {}
 
     def bump(self) -> None:
-        """Mark the accepted set as changed."""
+        """Mark the accepted set as changed: every stack is rebuilt on use."""
         self.rev += 1
+        self._stacks.clear()
 
     def boxes(self, accepted: list[list]) -> tuple:
         """Stacked ``(los, his)`` MBR corners of the accepted candidates."""
-        if self._boxes_rev != self.rev:
-            self.los = np.stack([record[0].mbr.lo for record in accepted])
-            self.his = np.stack([record[0].mbr.hi for record in accepted])
-            self._boxes_rev = self.rev
-        return self.los, self.his
+        out = self._stacks.get("boxes")
+        if out is None:
+            out = self._stacks["boxes"] = (
+                np.stack([record[0].mbr.lo for record in accepted]),
+                np.stack([record[0].mbr.hi for record in accepted]),
+            )
+        return out
 
     def statistics(self, accepted: list[list], ctx: QueryContext) -> np.ndarray:
         """``(n, 3)`` matrix of the accepted candidates' (min, mean, max)."""
-        if self._stats_rev != self.rev:
-            self.stats = np.array(
+        out = self._stacks.get("statistics")
+        if out is None:
+            out = self._stacks["statistics"] = np.array(
                 [ctx.statistics(record[0]) for record in accepted], dtype=float
             )
-            self._stats_rev = self.rev
-        return self.stats
+        return out
 
     def corner_sq(self, accepted: list[list], q_mbr) -> np.ndarray:
         """Cached :func:`repro.geometry.mbr.mbr_corner_terms` of the boxes.
@@ -150,11 +142,33 @@ class _AcceptedIndex:
         on the accepted boxes and the (fixed) query box, so it is shared by
         every entry/object screened against the same accepted set.
         """
-        if self._corner_rev != self.rev:
+        out = self._stacks.get("corner")
+        if out is None:
             los, his = self.boxes(accepted)
-            self.corner = K.mbr_corner_terms(los, his, q_mbr.lo, q_mbr.hi)
-            self._corner_rev = self.rev
-        return self.corner
+            out = self._stacks["corner"] = K.mbr_corner_terms(
+                los, his, q_mbr.lo, q_mbr.hi
+            )
+        return out
+
+    def hull_max(self, accepted: list[list], ctx: QueryContext) -> np.ndarray:
+        """``(n, h)``: per hull vertex, each candidate's farthest instance."""
+        out = self._stacks.get("hull_max")
+        if out is None:
+            out = self._stacks["hull_max"] = np.stack(
+                [ctx.hull_extremes(record[0])[0] for record in accepted]
+            )
+        return out
+
+    def row_extremes(self, accepted: list[list], ctx: QueryContext) -> tuple:
+        """``(n, |Q|)`` per query instance nearest and farthest distances."""
+        out = self._stacks.get("row_extremes")
+        if out is None:
+            rows = [ctx.row_extremes(record[0]) for record in accepted]
+            out = self._stacks["row_extremes"] = (
+                np.stack([r[0] for r in rows]),
+                np.stack([r[1] for r in rows]),
+            )
+        return out
 
 
 @dataclass
@@ -418,6 +432,10 @@ class NNCSearch:
             accepted: list[list] = []
             pending: list[list] = []  # not yet yielded (same record objects)
             acc_idx = _AcceptedIndex()
+            # The cover test an object passed at its first pop, keyed by
+            # id: (accepted-set revision, its Theorem 4 mask or None).  The
+            # second pop repeats the test only if the accepted set changed.
+            covered: dict[int, tuple[int, np.ndarray | None]] = {}
             if seeds:
                 # Foreign pre-accepted candidates (scatter-gather sharding):
                 # they prune entries and count as dominators exactly like
@@ -457,26 +475,9 @@ class NNCSearch:
                         ctx.counters.nodes_visited += 1
                         if budget is not None:
                             budget.checkpoint("rtree-descent")
-                        try:
-                            if faults is not None:
-                                faults.fire("entry-prune")
-                            if traced:
-                                with tracer.span(
-                                    "entry-prune", counters=ctx.counters, target="node"
-                                ) as span:
-                                    pruned = self._entry_pruned(
-                                        node_mbr, q_mbr, accepted, acc_idx, ctx, k
-                                    )
-                                    span.labels["pruned"] = pruned
-                            else:
-                                pruned = self._entry_pruned(
-                                    node_mbr, q_mbr, accepted, acc_idx, ctx, k
-                                )
-                        except RECOVERABLE_FAULTS as exc:
-                            # An unpruned node only costs work, never
-                            # correctness: descend as if the test failed.
-                            ctx.note_unresolved("entry-prune", _fault_reason(exc))
-                            pruned = False
+                        pruned, _ = self._cover_test(
+                            node_mbr, "node", q_mbr, accepted, acc_idx, ctx, k
+                        )
                         if pruned:
                             continue
                         try:
@@ -511,6 +512,16 @@ class NNCSearch:
                     if self._masked and id(obj) in self._masked:
                         continue  # tombstoned (see mask_object)
                     if kind == 1:
+                        # Cover test before refinement: an object that >= k
+                        # accepted boxes strictly dominate never gets a
+                        # distance matrix.
+                        pruned, mask = self._cover_test(
+                            obj.mbr, "object", q_mbr, accepted, acc_idx, ctx, k
+                        )
+                        if pruned:
+                            continue
+                        if pruned is not None:
+                            covered[id(obj)] = (acc_idx.rev, mask)
                         # Lazy refinement: re-key by the exact minimal distance
                         # (shares the context's cached distance matrix).
                         try:
@@ -526,6 +537,13 @@ class NNCSearch:
                         heapq.heappush(heap, (exact_key, next(counter), 2, obj))
                         continue
                     ctx.counters.objects_visited += 1
+                    rev, mask = covered.pop(id(obj), (None, None))
+                    if rev != acc_idx.rev:
+                        pruned, mask = self._cover_test(
+                            obj.mbr, "object", q_mbr, accepted, acc_idx, ctx, k
+                        )
+                        if pruned:
+                            continue
                     if traced:
                         with tracer.span(
                             "dominance-check",
@@ -534,15 +552,13 @@ class NNCSearch:
                             op=operator.name,
                         ) as span:
                             dominators = self._dominator_count(
-                                obj, operator, ctx, accepted, acc_idx, q_mbr, k
+                                obj, operator, ctx, accepted, acc_idx, q_mbr, k, mask
                             )
                             span.labels["dominators"] = dominators
                     else:
                         dominators = self._dominator_count(
-                            obj, operator, ctx, accepted, acc_idx, q_mbr, k
+                            obj, operator, ctx, accepted, acc_idx, q_mbr, k, mask
                         )
-                    if dominators is None:
-                        continue  # cover-based entry pruning dropped the object
                     if dominators >= k:
                         ctx.counters.bump("objects_dominated")
                         continue
@@ -691,12 +707,14 @@ class NNCSearch:
         acc_idx: _AcceptedIndex,
         q_mbr,
         k: int,
-    ) -> int | None:
+        mask: np.ndarray | None,
+    ) -> int:
         """Count dominators of ``obj`` among the accepted records.
 
-        Returns None when cover-based entry pruning drops the object outright
-        (>= k accepted MBRs strictly F-SD-dominate its box), else the number
-        of dominators found before the early exit at ``k``.
+        Returns the number of dominators found before the early exit at
+        ``k``.  ``mask`` is the strict Theorem 4 mask of the accepted boxes
+        over the object's box from the cover test the object passed against
+        this accepted set (None where that test did not run).
 
         The kernel path keeps **scalar-equivalent counter accounting**: the
         batch screens decide each pair exactly as the scalar operator calls
@@ -708,36 +726,27 @@ class NNCSearch:
         """
         counters = ctx.counters
         resilient = ctx.resilient
-        screen = None
-        definite = None
+        op_kind = operator.kind
+        screen = definite = failed = tally = None
         if ctx.kernels and accepted:
             try:
-                mask = None
-                if ctx.is_euclidean or operator.kind is OperatorKind.F_PLUS_SD:
-                    # One strict Theorem 4 mask serves both the cover-based
-                    # entry pruning and the per-record validation screen.
-                    u_los, u_his = acc_idx.boxes(accepted)
-                    mask = K.mbr_dominance_mask(
-                        u_los,
-                        u_his,
-                        obj.mbr,
-                        q_mbr,
-                        strict=True,
-                        u_max_sq=acc_idx.corner_sq(accepted, q_mbr),
-                        counters=counters,
-                    )
-                if ctx.is_euclidean and mask is not None:
-                    # Scalar-equivalent cover-prune tally: the scalar loop tests
-                    # record boxes in order and stops at the k-th hit.
-                    hits = np.nonzero(mask)[0]
-                    if hits.size >= k:
-                        counters.mbr_tests += int(hits[k - 1]) + 1
-                        return None  # same drop as _entry_pruned on the object box
-                    counters.mbr_tests += len(accepted)
                 if _mbr_screen_applies(operator, ctx):
                     # Batch Theorem 4 validation: records whose boxes strictly
                     # dominate the object's are certain dominators (their
-                    # operator call would return True immediately).
+                    # operator call would return True immediately).  The cover
+                    # test's mask is that screen; F+-SD also screens under
+                    # the other metrics, where the cover test does not run.
+                    if mask is None:
+                        u_los, u_his = acc_idx.boxes(accepted)
+                        mask = K.mbr_dominance_mask(
+                            u_los,
+                            u_his,
+                            obj.mbr,
+                            q_mbr,
+                            strict=True,
+                            u_max_sq=acc_idx.corner_sq(accepted, q_mbr),
+                            counters=counters,
+                        )
                     definite = mask
                 if _screen_applies(operator):
                     # Batch Theorem 11 screen: records whose (min, mean, max)
@@ -746,15 +755,15 @@ class NNCSearch:
                     u_stats = acc_idx.statistics(accepted, ctx)
                     v_stats = np.asarray(ctx.statistics(obj), dtype=float)
                     screen = K.statistic_prune(u_stats, v_stats, counters=counters)
+                failed, tally = _extremes_screen(
+                    operator, ctx, obj, accepted, acc_idx, definite is not None
+                )
             except RECOVERABLE_FAULTS as exc:
                 # Screens are shortcuts; without them every pair just runs
                 # its full scalar check below.
                 ctx.note_unresolved("dominance-check", _fault_reason(exc))
-                screen = definite = None
-        elif self._entry_pruned(obj.mbr, q_mbr, accepted, acc_idx, ctx, k):
-            return None
+                screen = definite = failed = None
         mbr_checked = definite is not None
-        op_kind = operator.kind
         is_psd = op_kind is OperatorKind.P_SD
         dominators = 0
         for idx, record in enumerate(accepted):
@@ -795,6 +804,17 @@ class NNCSearch:
                         counters.pruned_by_cover += 1
                     if resilient:
                         ctx.spend_check(1)
+            elif failed is not None and failed[idx]:
+                # Scalar equivalent: the operator's extremes stage rejects
+                # the pair, with the tally its module reports.
+                checks, mbr_tests, comparisons, by_statistics, by_cover = tally
+                counters.dominance_checks += checks
+                counters.mbr_tests += mbr_tests
+                counters.count_comparisons(comparisons)
+                counters.pruned_by_statistics += by_statistics
+                counters.pruned_by_cover += by_cover
+                if resilient:
+                    ctx.spend_check(checks)
             else:
                 if mbr_checked:
                     # The operator skips re-running the strict MBR test the
@@ -816,6 +836,41 @@ class NNCSearch:
                 break
         return dominators
 
+    def _cover_test(
+        self,
+        mbr,
+        target: str,
+        q_mbr,
+        accepted: list[list],
+        acc_idx: _AcceptedIndex,
+        ctx: QueryContext,
+        k: int,
+    ) -> tuple[bool | None, np.ndarray | None]:
+        """:meth:`_entry_pruned` at a heap site, under its span and fault guard.
+
+        ``target`` labels the ``entry-prune`` span (``node`` or ``object``).
+        Returns ``(pruned, mask)``; ``pruned`` is None when a recovered fault
+        left the test undecided: the entry is kept, which only costs work,
+        never correctness.
+        """
+        try:
+            if ctx.faults is not None:
+                ctx.faults.fire("entry-prune")
+            tracer = ctx.tracer
+            if not tracer.enabled:
+                return self._entry_pruned(mbr, q_mbr, accepted, acc_idx, ctx, k)
+            with tracer.span(
+                "entry-prune", counters=ctx.counters, target=target
+            ) as span:
+                pruned, mask = self._entry_pruned(
+                    mbr, q_mbr, accepted, acc_idx, ctx, k
+                )
+                span.labels["pruned"] = pruned
+            return pruned, mask
+        except RECOVERABLE_FAULTS as exc:
+            ctx.note_unresolved("entry-prune", _fault_reason(exc))
+            return None, None
+
     @staticmethod
     def _entry_pruned(
         mbr,
@@ -824,12 +879,17 @@ class NNCSearch:
         acc_idx: _AcceptedIndex,
         ctx: QueryContext,
         k: int,
-    ) -> bool:
-        """Cover-based entry pruning: >= k accepted MBRs F-SD the entry."""
+    ) -> tuple[bool, np.ndarray | None]:
+        """Cover-based entry pruning: >= k accepted MBRs F-SD the entry.
+
+        Returns ``(pruned, mask)``: the kernel path also hands back its
+        strict Theorem 4 mask of the accepted boxes over ``mbr`` (None on
+        the scalar path and wherever the test does not run).
+        """
         if not ctx.is_euclidean:
-            return False  # the MBR dominance test is Euclidean-only
+            return False, None  # the MBR dominance test is Euclidean-only
         if not accepted:
-            return False
+            return False, None
         if ctx.kernels:
             # All accepted candidates' boxes against the entry in one shot.
             u_los, u_his = acc_idx.boxes(accepted)
@@ -844,20 +904,63 @@ class NNCSearch:
             )
             # Scalar-equivalent tally: the scalar loop below tests boxes in
             # order and stops at the k-th hit.
-            hits = np.nonzero(mask)[0]
-            if hits.size >= k:
-                ctx.counters.mbr_tests += int(hits[k - 1]) + 1
-                return True
+            if np.count_nonzero(mask) >= k:
+                ctx.counters.mbr_tests += int(np.flatnonzero(mask)[k - 1]) + 1
+                return True, mask
             ctx.counters.mbr_tests += len(accepted)
-            return False
+            return False, mask
         hits = 0
         for record in accepted:
             ctx.counters.mbr_tests += 1
             if mbr_dominates(record[0].mbr, mbr, q_mbr, strict=True):
                 hits += 1
                 if hits >= k:
-                    return True
-        return False
+                    return True, None
+        return False, None
+
+
+def _extremes_screen(
+    operator: _BaseOperator,
+    ctx: QueryContext,
+    obj: UncertainObject,
+    accepted: list[list],
+    acc_idx: _AcceptedIndex,
+    mbr_checked: bool,
+) -> tuple[np.ndarray | None, tuple | None]:
+    """The operator's extremes stage for every accepted record at once.
+
+    Each operator's module settles its stage and reports its tally
+    (``batch_extremes`` in :mod:`repro.core.fsd`, :mod:`repro.core.sssd`
+    and :mod:`repro.core.psd`) from stacks cached per accepted-set revision.
+    Returns ``(failed, tally)``, or ``(None, None)`` where no stage runs.
+    """
+    kind = operator.kind
+    if kind is OperatorKind.F_SD:
+        return fsd.batch_extremes(
+            lambda: acc_idx.hull_max(accepted, ctx),
+            obj,
+            ctx,
+            use_local_trees=operator.use_level,
+            mbr_checked=mbr_checked,
+        )
+    if kind is OperatorKind.SS_SD:
+        return sssd.batch_extremes(
+            lambda: acc_idx.row_extremes(accepted, ctx),
+            obj,
+            ctx,
+            use_statistics=operator.use_statistics,
+            use_cover_pruning=operator.use_cover_pruning,
+            mbr_checked=mbr_checked,
+        )
+    if kind is OperatorKind.P_SD:
+        return psd.batch_extremes(
+            lambda: acc_idx.row_extremes(accepted, ctx),
+            obj,
+            ctx,
+            use_cover_pruning=operator.use_cover_pruning,
+            mbr_checked=mbr_checked,
+        )
+    return None, None
 
 
 def _global_tree(objects: list[UncertainObject]) -> RTree:

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core import kernels as K
 from repro.core.context import QueryContext
+from repro.core import sssd
 from repro.core.sssd import ss_dominates
 from repro.flow.maxflow import FlowBudgetError, FlowNetwork, max_flow
 from repro.geometry.convexhull import point_in_hull
@@ -206,6 +207,38 @@ def _level_flow(
     return max_flow(
         net, source, sink, metrics=metrics, max_augmentations=max_aug, budget=budget
     )
+
+
+def batch_extremes(
+    row_extremes,
+    v: UncertainObject,
+    ctx: QueryContext,
+    *,
+    use_cover_pruning: bool,
+    mbr_checked: bool,
+) -> tuple[np.ndarray | None, tuple | None]:
+    """P-SD's cover stage for many ``U`` at once, as :func:`p_dominates` pays it.
+
+    The stage is a nested :func:`ss_dominates` call with every filter: its
+    own dominance check, its strict MBR test (Euclidean metric) and its
+    cover stage, then its per-``q`` statistic stage
+    (:func:`repro.core.sssd.batch_extremes`), whose rejection is P-SD's
+    cover prune.  Same contract as that function; ``mbr_checked`` is P-SD's
+    own strict MBR test.
+    """
+    if not use_cover_pruning:
+        return None, None
+    failed, tally = sssd.batch_extremes(
+        row_extremes,
+        v,
+        ctx,
+        use_statistics=True,
+        use_cover_pruning=True,
+        mbr_checked=ctx.is_euclidean,
+    )
+    checks, mbr_tests, comparisons, by_statistics, _ = tally
+    mbr_tests += int(mbr_checked)
+    return failed, (checks + 1, mbr_tests, comparisons, by_statistics, 1)
 
 
 def p_dominates(

@@ -58,6 +58,47 @@ def bounding_distributions_per_q(
     return out
 
 
+def rows_violated(
+    u_rmin: np.ndarray, u_rmax: np.ndarray, v_rmin: np.ndarray, v_rmax: np.ndarray
+) -> np.ndarray:
+    """The per-``q`` statistic screen: some ``U_q`` extreme exceeds ``V_q``'s.
+
+    ``u_rmin``/``u_rmax`` are one ``(|Q|,)`` pair of
+    :meth:`QueryContext.row_extremes` or ``(n, |Q|)`` stacks of them (the
+    search's screen over every accepted candidate at once); the answer has
+    the leading shape.  True means SS-SD fails for that ``U``.
+    """
+    return np.any((u_rmin > v_rmin + _TOL) | (u_rmax > v_rmax + _TOL), axis=-1)
+
+
+def batch_extremes(
+    row_extremes,
+    v: UncertainObject,
+    ctx: QueryContext,
+    *,
+    use_statistics: bool,
+    use_cover_pruning: bool,
+    mbr_checked: bool,
+) -> tuple[np.ndarray | None, tuple | None]:
+    """The per-``q`` statistic stage of :func:`ss_dominates` for many ``U``.
+
+    ``row_extremes()`` returns the ``(n, |Q|)`` stacks of the candidates'
+    :meth:`QueryContext.row_extremes`; it is called only when the stage
+    runs.  Returns ``(failed, tally)``: which candidates the stage rejects,
+    and the counter deltas ``(dominance_checks, mbr_tests,
+    instance_comparisons, pruned_by_statistics, pruned_by_cover)`` a
+    kernel-path call records for such a pair, which failed the strict MBR
+    test (the caller ran it when ``mbr_checked``, and it is counted here)
+    and passed the cover stage.  ``(None, None)`` when the stage is off.
+    """
+    if not use_statistics:
+        return None, None
+    u_rmin, u_rmax = row_extremes()
+    failed = rows_violated(u_rmin, u_rmax, *ctx.row_extremes(v))
+    cover_stage = 3 if use_cover_pruning else 0
+    return failed, (1, int(mbr_checked), cover_stage + 2 * u_rmin.shape[1], 1, 0)
+
+
 def ss_dominates(
     u: UncertainObject,
     v: UncertainObject,
@@ -105,12 +146,7 @@ def ss_dominates(
         mat_v = ctx.distance_matrix(v)
         if use_statistics:
             ctx.counters.count_comparisons(2 * mat_u.shape[0])
-            u_rmin, u_rmax = ctx.row_extremes(u)
-            v_rmin, v_rmax = ctx.row_extremes(v)
-            violated = np.any(
-                (u_rmin > v_rmin + _TOL) | (u_rmax > v_rmax + _TOL)
-            )
-            if violated:
+            if rows_violated(*ctx.row_extremes(u), *ctx.row_extremes(v)):
                 ctx.counters.pruned_by_statistics += 1
                 return False
     else:

@@ -58,15 +58,22 @@ class DiscreteDistribution:
             if total <= 0:
                 raise ValueError("cannot normalize zero total mass")
             ps = ps / total
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        ps = ps[order]
+        if ps[0] == ps[-1] and (ps == ps[0]).all():
+            # Equal masses (every unweighted object and query): the sorted
+            # values alone fix the result, so skip the argsort and gather.
+            # The copy keeps the instance from sharing the caller's array.
+            vals = np.sort(vals)
+            ps = ps.copy()
+            significant = ps[0] > _PROB_TOL
+        else:
+            order = np.argsort(vals, kind="stable")
+            vals = vals[order]
+            ps = ps[order]
+            significant = (ps > _PROB_TOL).all()
         # Common case: all mass significant, no (near-)duplicate support —
         # the merge loop below would be the identity, so skip it.
         self._cum = None
-        if np.all(ps > _PROB_TOL) and (
-            vals.size == 1 or np.all(np.diff(vals) > 1e-12)
-        ):
+        if significant and (vals.size == 1 or (np.diff(vals) > 1e-12).all()):
             self.values = vals
             self.probs = ps
             return

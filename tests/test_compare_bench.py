@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import statistics
 
 import pytest
 
@@ -259,3 +260,46 @@ class TestRetiredFlags:
         with pytest.raises(SystemExit) as exc:
             bench.main(argv)
         assert exc.value.code == 2
+
+
+class TestPairedOverhead:
+    """``bench_kernels.paired_overhead``: median paired ratio and its band."""
+
+    # Host speed swings by 2x across rounds; each round's pair shares it.
+    SPEED = [1.0, 1.9, 1.2, 2.0, 1.1, 1.5, 1.0, 1.8, 1.3, 1.6, 1.4]
+    BASE = [0.040 * f for f in SPEED]
+
+    def test_pairs_cancel_the_host_speed(self):
+        from benchmarks.bench_kernels import paired_overhead
+
+        verdict = paired_overhead(self.BASE, [t * 1.01 for t in self.BASE])
+        assert verdict["overhead"] == pytest.approx(0.01)
+        assert verdict["band"] == pytest.approx(0.0, abs=1e-12)
+        assert verdict["rounds"] == len(self.BASE)
+
+    def test_band_is_two_standard_errors_of_the_median(self):
+        from benchmarks.bench_kernels import paired_overhead
+
+        ratios = [0.00, 0.01, -0.01, 0.02, -0.02, 0.03, -0.03, 0.04, -0.04]
+        verdict = paired_overhead([1.0] * 9, [1.0 + r for r in ratios])
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        assert verdict["overhead"] == pytest.approx(0.0, abs=1e-12)
+        assert verdict["band"] == pytest.approx(2 * 1.2533 * (q3 - q1) / 1.349 / 3)
+
+    def test_one_slow_round_does_not_decide(self):
+        from benchmarks.bench_kernels import paired_overhead
+
+        other = list(self.BASE)
+        other[3] *= 5
+        assert paired_overhead(self.BASE, other)["overhead"] == pytest.approx(0.0)
+
+    def test_interleaved_alternates_order(self):
+        from benchmarks.bench_kernels import interleaved
+
+        order = []
+        times = interleaved(
+            {"a": lambda: order.append("a") or 1.0, "b": lambda: order.append("b") or 2.0},
+            rounds=3,
+        )
+        assert order == ["a", "b", "b", "a", "a", "b"]
+        assert times == {"a": [1.0] * 3, "b": [2.0] * 3}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.context as context_mod
 from repro.core.context import QueryContext
@@ -135,6 +137,36 @@ class TestLazyHull:
             NNCSearch(objects).run(query, kind, ctx=ctx)
             assert ctx.hull is None
             assert ctx.hull_points is query.points
+
+
+class TestSortedRows:
+    """Equal instance masses sort rows by value alone; weighted ones gather."""
+
+    @staticmethod
+    def _argsort_build(mat, probs):
+        """The stable-argsort construction, kept here as the reference."""
+        order = np.argsort(mat, axis=1, kind="stable")
+        vals = np.take_along_axis(mat, order, axis=1)
+        cum = np.zeros((mat.shape[0], mat.shape[1] + 1))
+        np.cumsum(probs[order], axis=1, out=cum[:, 1:])
+        return vals, cum
+
+    @given(
+        # Integer grid coordinates: rows full of tied distances.
+        q=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=6),
+        u=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12),
+        weighted=st.booleans(),
+    )
+    @settings(max_examples=100)
+    def test_matches_stable_argsort_build(self, q, u, weighted):
+        points = np.asarray(u, dtype=float)
+        probs = np.arange(1.0, len(u) + 1.0) if weighted else None
+        obj = UncertainObject(points, probs, oid=0, normalize=weighted)
+        ctx = QueryContext(UncertainObject(np.asarray(q, dtype=float), oid="Q"))
+        vals, cum = ctx.sorted_rows(obj)
+        ref_vals, ref_cum = self._argsort_build(ctx.distance_matrix(obj), obj.probs)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(cum, ref_cum)
 
 
 class TestCounters:

@@ -16,9 +16,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import nnc
 from repro.core.context import QueryContext
 from repro.core.counters import Counters
 from repro.core.nnc import NNCSearch
+from repro.core.operators import make_operator
+from repro.experiments.figures import _HULL_STACKS, FILTER_STACKS
 from tests.conftest import random_scene
 
 OPERATORS = ["SSD", "SSSD", "PSD", "FSD", "F+SD"]
@@ -77,6 +80,96 @@ class TestKernelScalarCounterParity:
                 snaps[kernels] = ctx.counters.snapshot()
             for name in ("dominance_checks", "mbr_tests"):
                 assert snaps[True][name] == snaps[False][name], (kind, name)
+
+
+class TestFilterStackParity:
+    """Parity over every Figure 16 filter stack, not only the defaults.
+
+    Each stack switches a different set of batch screens on or off in the
+    search loop (the Theorem 4 validation mask, the statistic screen, and
+    the F-SD / SS-SD extremes screens).  A screen that must stay off (F-SD
+    on local trees, SS-SD without ``use_statistics``, P-SD without its
+    SS-SD cover stage) has to leave the per-pair call in place.
+    """
+
+    #: Scalar parity also holds for the level and geometry tallies.
+    FIELDS = PARITY_FIELDS + (
+        "pruned_by_level",
+        "validated_by_level",
+        "pruned_by_geometry",
+    )
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        rng = np.random.default_rng(2015)
+        return random_scene(rng, n_objects=36, dim=3, m=6, m_q=5, spread=3.0)
+
+    @staticmethod
+    def _run(search, query, operator, stack, k, *, kernels=True):
+        ctx = QueryContext(query, kernels=kernels, use_hull=stack in _HULL_STACKS)
+        oids = sorted(search.run(query, operator, ctx=ctx, k=k).oids())
+        return oids, ctx.counters.snapshot()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["SSD", "SSSD", "PSD", "FSD"])
+    @pytest.mark.parametrize("stack", list(FILTER_STACKS))
+    def test_same_totals(self, scene, stack, kind, k, monkeypatch):
+        objects, query = scene
+        search = NNCSearch(objects)
+        operator = make_operator(kind, **FILTER_STACKS[stack])
+        oids, snap = self._run(search, query, operator, stack, k)
+        ref_oids, ref = self._run(search, query, operator, stack, k, kernels=False)
+        assert oids == ref_oids
+        for name in self.FIELDS:
+            assert snap[name] == ref[name], (
+                f"{stack} {kind} k={k}: {name} diverged "
+                f"(kernels={snap[name]}, scalar={ref[name]})"
+            )
+        # The extremes screens settle pairs without the per-pair call; with
+        # them off, the kernel path must tally every counter the same,
+        # instance comparisons included.  Only the kernel batch tallies may
+        # move (the screens stack arrays the per-pair calls read one by one).
+        monkeypatch.setattr(nnc, "_extremes_screen", lambda *a: (None, None))
+        bare_oids, bare = self._run(search, query, operator, stack, k)
+        assert oids == bare_oids
+        moved = {
+            name
+            for name in snap.keys() | bare.keys()
+            if snap.get(name) != bare.get(name)
+        }
+        assert moved <= {"kernel_invocations", "kernel_elements"}, (
+            stack, kind, k, {n: (snap.get(n), bare.get(n)) for n in moved}
+        )
+
+    @pytest.mark.parametrize(
+        "kind,flags,metric",
+        [
+            # SS-SD's row screen without the cover stage before it.
+            ("SSSD", dict(use_cover_pruning=False), "euclidean"),
+            # Non-Euclidean: no MBR mask, and F-SD drops its local trees,
+            # so its screen runs even with use_level on.
+            ("FSD", dict(use_level=True), "manhattan"),
+            ("SSSD", {}, "manhattan"),
+            ("PSD", {}, "chebyshev"),
+        ],
+    )
+    def test_off_stack_configurations(self, scene, kind, flags, metric, monkeypatch):
+        objects, query = scene
+        search = NNCSearch(objects)
+        operator = make_operator(kind, **flags)
+
+        def run(kernels: bool) -> dict:
+            ctx = QueryContext(query, kernels=kernels, metric=metric)
+            search.run(query, operator, ctx=ctx, k=2)
+            return ctx.counters.snapshot()
+
+        snap, ref = run(True), run(False)
+        for name in self.FIELDS:
+            assert snap[name] == ref[name], name
+        monkeypatch.setattr(nnc, "_extremes_screen", lambda *a: (None, None))
+        for name, value in run(True).items():
+            if name not in ("kernel_invocations", "kernel_elements"):
+                assert snap.get(name) == value, name
 
 
 class TestCountersMechanics:

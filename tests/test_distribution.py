@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stats.distribution import DiscreteDistribution
 
@@ -142,3 +143,53 @@ class TestCombinators:
     def test_mixture_empty_raises(self):
         with pytest.raises(ValueError):
             DiscreteDistribution.mixture([])
+
+
+#: Support values drawn from a small pool, so duplicates are common.
+_tied_values = st.lists(
+    st.sampled_from([0.0, 1.0, 1.0 + 1e-13, 2.5, 3.0, 7.25]) | st.floats(0.0, 50.0),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestEqualMassSort:
+    """Equal masses skip the stable argsort; the result must not move."""
+
+    @staticmethod
+    def _argsort_build(vals, probs):
+        """The stable-argsort construction, kept here as the reference
+        (with the class's canonical merge of near-equal support)."""
+        order = np.argsort(vals, kind="stable")
+        keep_vals: list[float] = []
+        keep_ps: list[float] = []
+        for v, p in zip(vals[order], probs[order]):
+            if p <= 1e-9:
+                continue
+            if keep_vals and abs(v - keep_vals[-1]) <= 1e-12:
+                keep_ps[-1] += p
+            else:
+                keep_vals.append(float(v))
+                keep_ps.append(float(p))
+        return np.asarray(keep_vals), np.asarray(keep_ps)
+
+    @given(values=_tied_values, mass=st.sampled_from([None, 0.25, 1e-3, 1e-10]))
+    @settings(max_examples=150)
+    def test_matches_stable_argsort_build(self, values, mass):
+        vals = np.asarray(values)
+        probs = np.full(vals.size, 1.0 / vals.size if mass is None else mass)
+        ref_vals, ref_probs = self._argsort_build(vals, probs)
+        if not ref_vals.size:
+            with pytest.raises(ValueError):
+                DiscreteDistribution(vals, probs)
+            return
+        got = DiscreteDistribution(vals, probs)
+        assert np.array_equal(got.values, ref_vals)
+        assert np.array_equal(got.probs, ref_probs)
+
+    def test_mass_array_not_shared(self):
+        probs = np.full(3, 1.0 / 3.0)
+        d = DiscreteDistribution(np.array([3.0, 1.0, 2.0]), probs)
+        assert d.probs is not probs
+        probs[0] = 0.9
+        assert d.probs[0] == pytest.approx(1.0 / 3.0)

@@ -74,18 +74,33 @@ def tied_distributions(draw, max_size: int = 6):
     return DiscreteDistribution(values, probs)
 
 
+grid_values = st.integers(min_value=0, max_value=8).map(float)
+# A three-point grid with sub-1e-12 offsets: runs of values a distribution
+# merges (4e-13 steps chain up to 8e-13 past the run's first value) next to
+# values just past the 1e-12 tie (1.2e-12).
+near_tied_values = st.tuples(
+    st.integers(min_value=0, max_value=2).map(float),
+    st.sampled_from([0.0, 4e-13, 8e-13, 1.2e-12]),
+).map(sum)
+
+
 @st.composite
-def distribution_rows(draw, max_rows: int = 4, max_cols: int = 5):
+def distribution_rows(
+    draw, max_rows: int = 4, max_cols: int = 5, values=grid_values, tiny_mass=False
+):
     k = draw(st.integers(min_value=1, max_value=max_rows))
     n = draw(st.integers(min_value=1, max_value=max_cols))
     vals = draw(
         st.lists(
-            st.lists(st.integers(min_value=0, max_value=8).map(float), min_size=n, max_size=n),
+            st.lists(values, min_size=n, max_size=n),
             min_size=k,
             max_size=k,
         )
     )
     probs = draw(probability_vectors(min_size=n, max_size=n))
+    if tiny_mass and n > 1 and draw(st.booleans()):
+        # One atom below the distribution's 1e-9 mass floor: dropped there.
+        probs[draw(st.integers(0, n - 1))] = 5e-10
     return np.asarray(vals, dtype=float), np.asarray(probs, dtype=float)
 
 
@@ -151,6 +166,57 @@ def test_cdf_row_kernels_match_scan(x, y):
         )
         assert bool(many[i]) == ref
         assert bool(srt[i]) == ref
+
+
+@given(
+    x=distribution_rows(values=near_tied_values, tiny_mass=True),
+    y=distribution_rows(values=near_tied_values, tiny_mass=True),
+)
+@settings(max_examples=300)
+def test_sorted_row_sweep_matches_scan_on_near_ties(x, y):
+    """Rows from K.sorted_rows hold what the scan reads, merges included."""
+    xv, xp = x
+    yv, yp = y
+    k = min(xv.shape[0], yv.shape[0])
+    xv, yv = xv[:k], yv[:k]
+    srt = K.cdf_dominates_sorted(*K.sorted_rows(xv, xp), *K.sorted_rows(yv, yp))
+    for i in range(k):
+        ref = stochastic_leq(
+            DiscreteDistribution(xv[i], xp),
+            DiscreteDistribution(yv[i], yp),
+            counter=_Counter(),
+        )
+        assert bool(srt[i]) == ref
+
+
+def test_sorted_row_sweep_merges_a_sub_tie_gap():
+    # Y's two values are one atom of mass 1 to the scan; X's are 1.2e-12
+    # apart, so half of X's mass lies past that atom's tie: no dominance.
+    half = np.array([0.5, 0.5])
+    x = np.array([[1.0, 1.0 + 1.2e-12]])
+    y = np.array([[1.0, 1.0 + 5e-13]])
+    ref = stochastic_leq(
+        DiscreteDistribution(x[0], half), DiscreteDistribution(y[0], half), counter=_Counter()
+    )
+    got = K.cdf_dominates_sorted(*K.sorted_rows(x, half), *K.sorted_rows(y, half))
+    assert ref is False
+    assert got.tolist() == [False]
+
+
+def test_sorted_row_sweep_drops_sub_floor_masses():
+    # The distribution drops X's atoms of mass <= 1e-9 (at 0.5 and 2.0), so
+    # X holds 1 - 1.3e-9 at 1.0: short of Y's unit atom there by more than
+    # the 1e-9 tolerance.  Kept, the atom at 0.5 would close the gap.
+    x = np.array([[0.5, 1.0, 2.0]])
+    px = np.array([8e-10, 1.0 - 1.3e-9, 5e-10])
+    y = np.array([[1.0]])
+    py = np.array([1.0])
+    ref = stochastic_leq(
+        DiscreteDistribution(x[0], px), DiscreteDistribution(y[0], py), counter=_Counter()
+    )
+    got = K.cdf_dominates_sorted(*K.sorted_rows(x, px), *K.sorted_rows(y, py))
+    assert ref is False
+    assert got.tolist() == [False]
 
 
 # --------------------------------------------------------------------- #

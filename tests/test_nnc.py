@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import nnc
 from repro.core.bruteforce import (
     brute_f_dominates,
     brute_force_nnc,
@@ -11,7 +12,10 @@ from repro.core.bruteforce import (
     brute_ss_dominates,
 )
 from repro.core.context import QueryContext
+from repro.core.fsd import extremes_violated
 from repro.core.nnc import NNCSearch, nn_candidates
+from repro.core.operators import FSDOperator
+from repro.geometry.mbr import mbr_dominates
 from repro.objects.uncertain import UncertainObject
 
 from .conftest import random_object, random_scene
@@ -81,6 +85,87 @@ class TestAgainstBruteForce:
         objects, query = random_scene(rng, n_objects=15, m=3, m_q=3, dim=3)
         for kind in ["SSD", "SSSD", "PSD"]:
             _assert_matches_bruteforce(objects, query, kind)
+
+
+class TestCoverTestBeforeRefinement:
+    """An object whose box an accepted candidate's box strictly dominates is
+    dropped at its first pop, before any distance matrix is built for it."""
+
+    @staticmethod
+    def _scene():
+        rng = np.random.default_rng(5)
+        objects, query = random_scene(rng, n_objects=20, m=4, m_q=4)
+        # Far-off shadows of every object, beyond the query on both axes:
+        # each shadow's box is strictly dominated by its original's.
+        shadows = [
+            UncertainObject(o.points + 500.0, o.probs, oid=f"far{o.oid}")
+            for o in objects
+        ]
+        return objects + shadows, query
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    @pytest.mark.parametrize("kind", ["SSD", "SSSD", "PSD", "FSD"])
+    def test_dominated_box_never_refined(self, monkeypatch, kind, kernels):
+        objects, query = self._scene()
+        refined = []
+        real = QueryContext.distance_matrix
+
+        def recording(ctx, obj):
+            refined.append(obj.oid)
+            return real(ctx, obj)
+
+        monkeypatch.setattr(QueryContext, "distance_matrix", recording)
+        ctx = QueryContext(query, kernels=kernels)
+        result = NNCSearch(objects).run(query, kind, ctx=ctx)
+        expected = brute_force_nnc(objects, query, BRUTES[kind])
+        assert sorted(map(str, result.oids())) == sorted(str(o.oid) for o in expected)
+        accepted = [o for o in objects if o.oid in set(result.oids())]
+        dominated = [
+            v
+            for v in objects
+            if any(mbr_dominates(u.mbr, v.mbr, query.mbr, strict=True) for u in accepted)
+        ]
+        assert dominated, "the scene must hold dominated boxes"
+        assert not {v.oid for v in dominated} & set(refined)
+
+
+class TestExtremesScreen:
+    """F-SD reaches ``operator.dominates`` only for pairs its screen leaves open."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fsd_calls_only_open_pairs(self, monkeypatch, k):
+        rng = np.random.default_rng(9)
+        objects, query = random_scene(rng, n_objects=40, dim=3, m=5, m_q=6)
+        by_oid = {o.oid: o for o in objects}
+        real = FSDOperator.dominates
+
+        def run(screens: bool) -> tuple[list, list, QueryContext]:
+            calls = []
+
+            def counted(self, u, v, ctx, **kwargs):
+                calls.append((u.oid, v.oid))
+                return real(self, u, v, ctx, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(FSDOperator, "dominates", counted)
+                if not screens:
+                    patch.setattr(nnc, "_extremes_screen", lambda *a: (None, None))
+                ctx = QueryContext(query)
+                oids = NNCSearch(objects).run(query, "FSD", ctx=ctx, k=k).oids()
+            return calls, oids, ctx
+
+        calls, oids, ctx = run(screens=True)
+        bare_calls, bare_oids, _ = run(screens=False)
+        assert oids == bare_oids
+
+        def violated(pair):
+            u, v = by_oid[pair[0]], by_oid[pair[1]]
+            return bool(extremes_violated(ctx.hull_extremes(u)[0], ctx.hull_extremes(v)[1]))
+
+        assert calls and not any(violated(pair) for pair in calls)
+        skipped = set(bare_calls) - set(calls)
+        assert skipped and all(violated(pair) for pair in skipped)
+        assert len(bare_calls) == len(calls) + len(skipped)
 
 
 class TestCandidateSetNesting:
