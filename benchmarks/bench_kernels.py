@@ -1,6 +1,6 @@
 """Kernel benchmark — batch kernels vs the scalar reference path.
 
-Measures two things and writes both to ``BENCH_kernels.json``:
+Measures these sections and writes them to ``BENCH_kernels.json``:
 
 * **micro** — ops/sec of each batch kernel in :mod:`repro.core.kernels`
   against its scalar twin on paper-shaped inputs (one object's worth of
@@ -15,10 +15,14 @@ Measures two things and writes both to ``BENCH_kernels.json``:
   enabled ``Tracer`` + ``MetricsRegistry`` (informational);
 * **resilience** — resilience overhead: the default context vs one armed
   with a generous :class:`repro.resilience.Budget` (asserted within the
-  same 3% budget — caps that never trip must be near-free).
+  same 3% budget — caps that never trip must be near-free);
+* **serve** — serving overhead: ``ServeApp.dispatch`` vs
+  ``DatasetManager.query`` on the same queries (asserted within the same
+  3% budget — the request path around a search must be near-free).
 
+The three overhead gates share one rule (:func:`overhead_gate`).
 ``benchmarks/compare_bench.py`` diffs two result files and flags end-to-end
-regressions (used by CI against the committed smoke baseline).
+ratio regressions (used by CI against the committed smoke baseline).
 
 Run directly::
 
@@ -43,7 +47,7 @@ from repro.core.context import QueryContext
 from repro.core.nnc import NNCSearch
 from repro.experiments import provenance
 from repro.experiments.figures import build_dataset
-from repro.experiments.params import SCALES, ExperimentParams
+from repro.experiments.params import SCALES, ExperimentParams, Scale
 from repro.experiments.report import format_table, kernel_summary
 from repro.geometry.halfspace import closer_to_query
 from repro.geometry.mbr import MBR, mbr_dominates
@@ -52,12 +56,15 @@ from repro.stats.stochastic import stochastic_leq
 
 END_TO_END_KINDS = ("SSD", "SSSD", "PSD", "FSD")
 
-#: Tracing off may cost at most this share of the untraced search.
-OBS_BUDGET = 0.03
-#: Paired rounds behind the observability gate: at least the first; then 20
-#: more at a time while its noise band is wider than the budget, up to the
-#: second.
-OBS_ROUNDS = (21, 201)
+#: An overhead gate fails when the gated run costs more than this share of
+#: its base run, plus the noise band of that share.
+OVERHEAD_BUDGET = 0.03
+#: Paired rounds behind an overhead gate: at least the first; then 20 more at
+#: a time while the noise band is wider than the budget, up to the second.
+GATE_ROUNDS = (21, 201)
+#: The serve gate's workload: A-N, n = 200, m_d = 4, m_q = 2, d = 2 and 8
+#: queries per round.  Dispatch costs the same per request at any scale.
+SERVE_SCALE = Scale("serve", n_factor=0.002, m_factor=0.1, q_factor=0.07, n_queries=8)
 
 
 def _time_ops(fn, *, repeats: int, min_time: float = 0.05) -> float:
@@ -176,6 +183,38 @@ def paired_overhead(base: list[float], other: list[float]) -> dict:
     }
 
 
+def overhead_gate(
+    name: str, base, other, *, extra: dict | None = None
+) -> tuple[dict, dict[str, list[float]]]:
+    """Time ``other`` against ``base`` in paired rounds; fail past the budget.
+
+    ``base`` and ``other`` are callables returning seconds.  They run in
+    :func:`interleaved` rounds, ``GATE_ROUNDS[0]`` to start with (``extra``
+    callables ride along in those, for informational numbers); while the
+    noise band of :func:`paired_overhead` is wider than
+    :data:`OVERHEAD_BUDGET`, 20 more rounds of the pair run, up to
+    ``GATE_ROUNDS[1]``.  Raises :class:`AssertionError` when the median paired
+    overhead passes the budget plus its band.  Returns the verdict and every
+    run's times, keyed ``"base"``, ``"other"`` and by ``extra``'s names.
+    """
+    first, most = GATE_ROUNDS
+    pair = {"base": base, "other": other}
+    times = interleaved({**pair, **(extra or {})}, first)
+    verdict = paired_overhead(times["base"], times["other"])
+    while verdict["band"] > OVERHEAD_BUDGET and verdict["rounds"] < most:
+        for key, more in interleaved(pair, 20).items():
+            times[key] += more
+        verdict = paired_overhead(times["base"], times["other"])
+    if verdict["overhead"] > OVERHEAD_BUDGET + verdict["band"]:
+        raise AssertionError(
+            f"{name} overhead {verdict['overhead']:.1%} exceeds the "
+            f"{OVERHEAD_BUDGET:.0%} budget plus its noise band "
+            f"{verdict['band']:.1%} (median paired overhead over "
+            f"{verdict['rounds']} rounds)"
+        )
+    return verdict, times
+
+
 def end_to_end(scale_name: str, *, rounds: int = 9) -> list[dict]:
     """Full NNC wall time per operator, kernels on vs off, identical outputs.
 
@@ -247,14 +286,10 @@ def obs_overhead(scale_name: str) -> dict:
 
     Tracing-off must be near-free: an untraced query pays one
     ``tracer.enabled`` attribute check per instrumentation site and nothing
-    else.  The baseline (default context), an explicit ``NullTracer``
-    context and a fully enabled ``Tracer`` + ``MetricsRegistry`` context are
-    timed in interleaved rounds, the order alternating per round, so the
-    baseline and null-tracer runs of a round are always adjacent.  The gate
-    fails when the null tracer's median paired overhead passes 3% plus its
-    noise band (:func:`paired_overhead`); on a noisy host the baseline and
-    null-tracer pair get more rounds, narrowing the band.  The enabled run's
-    overhead over the first rounds is reported informationally as
+    else.  The baseline (default context) is gated against an explicit
+    ``NullTracer`` context by :func:`overhead_gate`; a fully enabled
+    ``Tracer`` + ``MetricsRegistry`` context rides along in the first
+    rounds, and its overhead is reported informationally as
     ``overhead_enabled``.
     """
     from repro.obs import MetricsRegistry, NullTracer, Tracer
@@ -273,42 +308,27 @@ def obs_overhead(scale_name: str) -> dict:
             search.run(query, kind, ctx=make_ctx(query))
         return time.perf_counter() - t0
 
-    gated = {
-        "baseline": lambda: run_all(QueryContext),
-        "null": lambda: run_all(lambda q: QueryContext(q, tracer=NullTracer())),
-    }
-    first, most = OBS_ROUNDS
-    times = interleaved(
-        {
-            **gated,
+    off, times = overhead_gate(
+        "tracing-disabled",
+        lambda: run_all(QueryContext),
+        lambda: run_all(lambda q: QueryContext(q, tracer=NullTracer())),
+        extra={
             "enabled": lambda: run_all(
                 lambda q: QueryContext(q, tracer=Tracer(), metrics=MetricsRegistry())
             ),
         },
-        first,
     )
-    off = paired_overhead(times["baseline"], times["null"])
-    while off["band"] > OBS_BUDGET and off["rounds"] < most:
-        for name, more in interleaved(gated, 20).items():
-            times[name] += more
-        off = paired_overhead(times["baseline"], times["null"])
-    if off["overhead"] > OBS_BUDGET + off["band"]:
-        raise AssertionError(
-            f"tracing-disabled overhead {off['overhead']:.1%} exceeds the 3% budget "
-            f"plus its noise band {off['band']:.1%} (median paired overhead over "
-            f"{off['rounds']} rounds)"
-        )
     return {
         "operator": kind,
         "n_queries": len(queries),
         "rounds": off["rounds"],
-        "baseline_time": statistics.median(times["baseline"]),
-        "null_tracer_time": statistics.median(times["null"]),
+        "baseline_time": statistics.median(times["base"]),
+        "null_tracer_time": statistics.median(times["other"]),
         "enabled_time": statistics.median(times["enabled"]),
         "overhead_disabled": off["overhead"],
         "noise_band": off["band"],
         "overhead_enabled": paired_overhead(
-            times["baseline"][:first], times["enabled"]
+            times["base"][: len(times["enabled"])], times["enabled"]
         )["overhead"],
     }
 
@@ -319,10 +339,10 @@ def resilience_overhead(scale_name: str) -> dict:
     Resilience-disabled must be near-free: an unbudgeted, unfaulted query
     pays one ``ctx.resilient`` attribute check per dominance check (the
     end-to-end section, gated by ``compare_bench.py`` against the committed
-    baseline, catches any drift of that path).  Here the default context is
-    timed against a context armed with a *generous* budget — caps far above
-    what the workload spends, so nothing degrades and every checkpoint runs
-    — and asserted within a 3% + 2 ms budget.
+    baseline, catches any drift of that path).  Here :func:`overhead_gate`
+    times the default context against a context armed with a *generous*
+    budget — caps far above what the workload spends, so nothing degrades
+    and every checkpoint runs.
     """
     from repro.resilience import Budget
 
@@ -350,22 +370,83 @@ def resilience_overhead(scale_name: str) -> dict:
             ),
         )
 
-    disabled = armed = float("inf")
-    for _ in range(3):
-        disabled = min(disabled, run_all(QueryContext))
-        armed = min(armed, run_all(generous_ctx))
-    overhead_armed = armed / disabled - 1.0
-    if armed - disabled > 0.03 * disabled + 0.002:
-        raise AssertionError(
-            f"budget-armed overhead {overhead_armed:.1%} exceeds the 3% budget "
-            f"(disabled {disabled:.4f}s, armed {armed:.4f}s)"
-        )
+    armed, times = overhead_gate(
+        "budget-armed", lambda: run_all(QueryContext), lambda: run_all(generous_ctx)
+    )
     return {
         "operator": kind,
         "n_queries": len(queries),
-        "disabled_time": disabled,
-        "armed_time": armed,
-        "overhead_armed": overhead_armed,
+        "rounds": armed["rounds"],
+        "disabled_time": statistics.median(times["base"]),
+        "armed_time": statistics.median(times["other"]),
+        "overhead_armed": armed["overhead"],
+        "noise_band": armed["band"],
+    }
+
+
+def serve_overhead() -> dict:
+    """Serving overhead: ``ServeApp.dispatch`` vs ``DatasetManager.query``.
+
+    A default app (no cache, sampling and profiler off) over a two-shard
+    serial manager answers the :data:`SERVE_SCALE` F-SD queries, sent as
+    ``"cache": false``; the same manager's ``query`` answers the same
+    queries directly.  Protocol decode, admission, metrics, SLO accounting
+    and the response body must be near-free next to the search:
+    :func:`overhead_gate` times the two.  The served answers are asserted
+    equal to the direct ones first.
+    """
+    from repro.serve.server import ServeApp
+    from repro.serve.updates import DatasetManager
+
+    params = ExperimentParams(d=2).scaled(SERVE_SCALE)
+    rng = np.random.default_rng(params.seed)
+    objects, queries = build_dataset("A-N", params, rng)
+    kind = "FSD"
+    manager = DatasetManager(objects, shards=2)
+    app = ServeApp(manager)
+    payloads = [
+        {
+            "points": q.points.tolist(),
+            "probs": q.probs.tolist(),
+            "operator": kind,
+            "cache": False,
+        }
+        for q in queries
+    ]
+    try:
+        for query, payload in zip(queries, payloads):
+            status, body = app.dispatch("POST", "/query", payload)
+            direct = manager.query(query, kind)[0].oids()
+            if status != 200 or [c["oid"] for c in body["candidates"]] != direct:
+                raise AssertionError(
+                    f"served answer {status} {body} differs from the manager's {direct}"
+                )
+
+        def direct_all() -> float:
+            t0 = time.perf_counter()
+            for query in queries:
+                manager.query(query, kind)
+            return time.perf_counter() - t0
+
+        def served_all() -> float:
+            t0 = time.perf_counter()
+            for payload in payloads:
+                app.dispatch("POST", "/query", payload)
+            return time.perf_counter() - t0
+
+        served, times = overhead_gate("serve-dispatch", direct_all, served_all)
+    finally:
+        app.close()
+    return {
+        "operator": kind,
+        "n_objects": len(objects),
+        "n_queries": len(queries),
+        "shards": 2,
+        "rounds": served["rounds"],
+        "query_time": statistics.median(times["base"]),
+        "dispatch_time": statistics.median(times["other"]),
+        "overhead_dispatch": served["overhead"],
+        "noise_band": served["band"],
     }
 
 
@@ -395,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     e2e = end_to_end(scale)
     obs = obs_overhead(scale)
     resilience = resilience_overhead(scale)
+    serve = serve_overhead()
     payload = provenance.stamp({
         "scale": scale,
         "smoke": args.smoke,
@@ -402,6 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         "end_to_end": e2e,
         "obs": obs,
         "resilience": resilience,
+        "serve": serve,
     })
     print(format_table(micro, "Micro kernels (ops/sec)"))
     print()
@@ -409,11 +492,9 @@ def main(argv: list[str] | None = None) -> int:
     print()
     print(format_table([obs], "Observability overhead (off asserted <3% + noise band)"))
     print()
-    print(
-        format_table(
-            [resilience], "Resilience overhead (generous budget asserted <3%)"
-        )
-    )
+    print(format_table([resilience], "Resilience overhead (armed asserted <3% + noise band)"))
+    print()
+    print(format_table([serve], "Serve overhead (dispatch asserted <3% + noise band)"))
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {out}")

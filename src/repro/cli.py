@@ -141,9 +141,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    "--fsync interval")
     p.add_argument("--snapshot-every", type=int, default=256, metavar="N",
                    help="mutations between checkpoints (0: only on drain)")
-    p.add_argument("--warm-pages", action="store_true",
-                   help="touch every snapshot page during recovery so "
-                   "first queries never fault cold")
     p.add_argument("--log-json", action="store_true",
                    help="structured JSON logs on stderr, request-id "
                    "correlated")
@@ -630,7 +627,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 fsync=args.fsync,
                 fsync_interval_s=args.fsync_interval_s,
                 snapshot_every=args.snapshot_every,
-                warm_pages=args.warm_pages,
                 audit_path=args.audit_log,
                 shards=args.shards,
                 partitioner=args.partitioner,

@@ -288,7 +288,6 @@ def replay_audit(
     *,
     shards: int = 1,
     partitioner: str = "round-robin",
-    kernels: bool = True,
 ) -> ReplayReport:
     """Re-execute an audit log against ``objects`` and verify digests.
 
@@ -365,7 +364,6 @@ def replay_audit(
                     rec["operator"],
                     k=rec["k"],
                     metric=rec["metric"],
-                    kernels=kernels,
                 )
                 digest = answer_digest(
                     {"oid": obj.oid, "dominators": count}

@@ -75,7 +75,6 @@ SNAP_MAGIC = b"RSNAP1\n\0"
 #: writes (2: the R-tree's own arrays, see :func:`repro.serve.shm.pack_shard`).
 SNAP_VERSION = 2
 _SNAP_GLOB = "snap-*.snap"
-_PAGE = 4096
 _MAX_MANIFEST = 64 * 1024 * 1024
 #: Snapshot generations kept on disk (newest + one fallback).
 _KEEP_SNAPSHOTS = 2
@@ -112,14 +111,6 @@ class Snapshot:
         self.manifest = manifest
         self.searches = searches
         self.mm = mm
-
-    def warm(self) -> int:
-        """Touch one byte per page so queries never fault cold; returns
-        the number of pages walked."""
-        view = np.frombuffer(self.mm, dtype=np.uint8)[:: _PAGE]
-        # The reduction forces a read of every strided element (= page).
-        int(np.add.reduce(view.astype(np.int64)))
-        return int(view.shape[0])
 
 
 def write_snapshot(
@@ -314,7 +305,6 @@ class RecoveryReport:
     audit_torn: dict | None = None  #: torn audit line repaired at restart
     audit_reconciled: int = 0  #: WAL mutations re-appended to the audit log
     repartitioned: bool = False  #: snapshot layout mismatched; rebuilt
-    pages_warmed: int = 0
     recovered_epoch: int = 0
     elapsed_s: float = 0.0
 
@@ -329,7 +319,6 @@ class RecoveryReport:
             "audit_torn": self.audit_torn,
             "audit_reconciled": self.audit_reconciled,
             "repartitioned": self.repartitioned,
-            "pages_warmed": self.pages_warmed,
             "recovered_epoch": self.recovered_epoch,
             "elapsed_s": self.elapsed_s,
         }
@@ -352,8 +341,6 @@ class DurableDatasetManager(DatasetManager):
             (:class:`repro.serve.wal.FsyncPolicy`).
         snapshot_every: mutations between checkpoints (0 disables periodic
             snapshots; close/drain still checkpoints).
-        warm_pages: touch every snapshot page during recovery so first
-            queries never fault cold.
         audit_path: the server's audit log; recovery repairs a torn final
             line and re-appends WAL mutations the audit lost in the crash
             window (flagged ``"recovered": true``) so ``repro replay``
@@ -374,7 +361,6 @@ class DurableDatasetManager(DatasetManager):
         fsync: str = "always",
         fsync_interval_s: float = 0.5,
         snapshot_every: int = 256,
-        warm_pages: bool = False,
         audit_path: str | Path | None = None,
         defer_recovery: bool = False,
         shards: int = 1,
@@ -392,7 +378,6 @@ class DurableDatasetManager(DatasetManager):
         self.fsync = fsync
         self.fsync_interval_s = fsync_interval_s
         self.snapshot_every = snapshot_every
-        self.warm_pages = warm_pages
         self.audit_path = Path(audit_path) if audit_path else None
         self._cfg = {
             "shards": shards,
@@ -504,8 +489,6 @@ class DurableDatasetManager(DatasetManager):
             )
             self._assign_missing_oids(kept)
             new_search = self._build_search(kept)
-        if handle is not None and self.warm_pages:
-            report.pages_warmed = handle.warm()
         with self._lock.write():
             old = self.search
             self.search = new_search

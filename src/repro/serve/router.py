@@ -277,9 +277,7 @@ class RouterApp(ServeApp):
             covered.append({pos})
             if degradation is None and body.get("degraded"):
                 degradation = _report_from_dict(body["degradation"])
-        refine_ctx = QueryContext(
-            req["query"], metric=req["metric"], kernels=True
-        )
+        refine_ctx = QueryContext(req["query"], metric=req["metric"])
         final, counts, refine_checks, _unresolved = refine_survivors(
             _operator(req["operator"]), req["k"], survivors, covered,
             refine_ctx,

@@ -505,7 +505,6 @@ class ShardedSearch:
         *,
         k: int = 1,
         metric: str = "euclidean",
-        kernels: bool = True,
         budget: Budget | None = None,
         request: RequestContext | None = None,
         shard_subset: Sequence[int] | None = None,
@@ -542,7 +541,7 @@ class ShardedSearch:
         )
         survivors, covered, per_shard, merged, degradation, refine_ctx = (
             scatter(
-                query, operator, k, metric, kernels, budget, request, targets
+                query, operator, k, metric, budget, request, targets
             )
         )
 
@@ -654,7 +653,7 @@ class ShardedSearch:
         return [j for _, j in keyed]
 
     def _scatter_serial(
-        self, query, operator, k, metric, kernels, budget, request,
+        self, query, operator, k, metric, budget, request,
         targets: Sequence[int],
     ):
         """Cascade: near shards first, survivors seed the later shards.
@@ -668,9 +667,7 @@ class ShardedSearch:
             if request is not None and request.sampled and request.tracer is not None
             else None
         )
-        ctx = QueryContext(
-            query, metric=metric, kernels=kernels, budget=budget, tracer=tracer
-        )
+        ctx = QueryContext(query, metric=metric, budget=budget, tracer=tracer)
         wanted = set(targets)
         order = [j for j in self._shard_order(query) if j in wanted]
         survivors: list[list[tuple[UncertainObject, int]]] = [
@@ -807,7 +804,7 @@ class ShardedSearch:
         return out
 
     def _scatter_pool(
-        self, query, operator, k, metric, kernels, budget, request,
+        self, query, operator, k, metric, budget, request,
         targets: Sequence[int],
     ):
         """Persistent shared-memory pool scatter (spawn-safe workers).
@@ -833,7 +830,6 @@ class ShardedSearch:
                 operator,
                 k,
                 metric,
-                kernels,
                 limits,
                 request.child(j).to_wire() if traced else None,
             )
@@ -888,7 +884,7 @@ class ShardedSearch:
                 degradation = shard_report
             if spans and request is not None:
                 request.add_shard_spans(j, spans)
-        refine_ctx = QueryContext(query, metric=metric, kernels=kernels)
+        refine_ctx = QueryContext(query, metric=metric)
         return survivors, covered, per_shard, merged, degradation, refine_ctx
 
     # ------------------------------ gather ----------------------------- #

@@ -360,7 +360,7 @@ def pool_run_one(task: tuple) -> tuple:
     """Execute one shard search inside a pool worker.
 
     The task tuple is ``(shard_idx, epoch, segment_name, query, operator,
-    k, metric, kernels, budget_limits, request_wire)`` — a few hundred
+    k, metric, budget_limits, request_wire)`` — a few hundred
     bytes regardless of dataset size; shard state arrives through shared
     memory only.  Results travel as plain data: candidate *indices* into
     the snapshot order, counts, elapsed, degradation report dict, counters
@@ -369,7 +369,7 @@ def pool_run_one(task: tuple) -> tuple:
     """
     (
         shard_idx, epoch, name, query, operator,
-        k, metric, kernels, limits, wire,
+        k, metric, limits, wire,
     ) = task
     try:
         search = _worker_search(shard_idx, name)
@@ -380,9 +380,7 @@ def pool_run_one(task: tuple) -> tuple:
     if wire is not None:
         child = RequestContext.from_wire(wire)
         tracer = Tracer(epoch=child.trace_epoch)
-        ctx = QueryContext(
-            query, metric=metric, kernels=kernels, budget=budget, tracer=tracer
-        )
+        ctx = QueryContext(query, metric=metric, budget=budget, tracer=tracer)
         with bind(child):
             with tracer.span(
                 "shard-search",
@@ -393,7 +391,7 @@ def pool_run_one(task: tuple) -> tuple:
                 result = search.run(query, operator, k=k, ctx=ctx)
         spans = [s.to_dict() for s in tracer.spans()]
     else:
-        ctx = QueryContext(query, metric=metric, kernels=kernels, budget=budget)
+        ctx = QueryContext(query, metric=metric, budget=budget)
         result = search.run(query, operator, k=k, ctx=ctx)
     index_of = {id(o): i for i, o in enumerate(search.objects)}
     idxs = [index_of[id(c)] for c in result.candidates]

@@ -233,7 +233,6 @@ class DatasetManager:
         *,
         k: int = 1,
         metric: str = "euclidean",
-        kernels: bool = True,
         budget=None,
         request=None,
         shard_subset: Sequence[int] | None = None,
@@ -251,9 +250,8 @@ class DatasetManager:
         """
         with self._lock.read():
             result = self.search.run(
-                query, operator, k=k, metric=metric,
-                kernels=kernels, budget=budget, request=request,
-                shard_subset=shard_subset,
+                query, operator, k=k, metric=metric, budget=budget,
+                request=request, shard_subset=shard_subset,
             )
             return result, self._epoch
 

@@ -1,4 +1,5 @@
-"""Tests for ``benchmarks/compare_bench.py`` (the bench regression gate)."""
+"""Tests for ``benchmarks/compare_bench.py`` (the kernel-ratio gate) and for
+``benchmarks/bench_kernels.py``'s paired overhead gate."""
 
 from __future__ import annotations
 
@@ -8,13 +9,7 @@ import statistics
 
 import pytest
 
-from benchmarks.compare_bench import (
-    bench_kind,
-    compare,
-    compare_serve,
-    load_bench,
-    main,
-)
+from benchmarks.compare_bench import compare, load_bench, main
 
 BASE = {
     "scale": "tiny",
@@ -22,17 +17,6 @@ BASE = {
         {"operator": "SSD", "kernel_time": 1.0, "scalar_time": 2.0},
         {"operator": "PSD", "kernel_time": 2.0, "scalar_time": 8.0},
     ],
-}
-
-SERVE_BASE = {
-    "bench": "serve",
-    "scale": "smoke",
-    "shard_scaling": [
-        {"shards": 1, "qps": 30.0, "speedup_vs_1": 1.0, "equal": True},
-        {"shards": 2, "qps": 45.0, "speedup_vs_1": 1.5, "equal": True},
-        {"shards": 4, "qps": 75.0, "speedup_vs_1": 2.5, "equal": True},
-    ],
-    "cache": {"hit_ratio": 0.75},
 }
 
 
@@ -67,15 +51,6 @@ class TestCompare:
         _, regressions = compare(BASE, current)
         assert regressions == []
 
-    def test_time_metric(self):
-        current = copy.deepcopy(BASE)
-        current["end_to_end"][1]["kernel_time"] = 2.2
-        current["end_to_end"][1]["scalar_time"] = 8.8  # same ratio, slower
-        _, by_ratio = compare(BASE, current, metric="ratio")
-        assert by_ratio == []
-        _, by_time = compare(BASE, current, metric="time", threshold=0.05)
-        assert len(by_time) == 1 and by_time[0].startswith("PSD")
-
     def test_operator_only_in_one_file_never_flags(self):
         current = copy.deepcopy(BASE)
         current["end_to_end"].append(
@@ -87,97 +62,11 @@ class TestCompare:
         assert fsd["baseline"] is None and fsd["change"] == "-"
 
 
-class TestCompareServe:
-    def test_no_regression_on_self(self):
-        rows, regressions = compare_serve(SERVE_BASE, copy.deepcopy(SERVE_BASE))
-        assert regressions == []
-        assert {r["metric"] for r in rows} == {
-            "speedup_vs_1[K=2]", "speedup_vs_1[K=4]", "cache.hit_ratio",
-        }
-
-    def test_flags_scaling_drop(self):
-        current = copy.deepcopy(SERVE_BASE)
-        current["shard_scaling"][2]["speedup_vs_1"] = 1.2  # 2.5 -> 1.2
-        _, regressions = compare_serve(SERVE_BASE, current)
-        assert len(regressions) == 1
-        assert regressions[0].startswith("speedup_vs_1[K=4]")
-
-    def test_scaling_improvement_passes(self):
-        current = copy.deepcopy(SERVE_BASE)
-        current["shard_scaling"][2]["speedup_vs_1"] = 3.5
-        _, regressions = compare_serve(SERVE_BASE, current)
-        assert regressions == []
-
-    def test_equal_false_is_always_a_regression(self):
-        current = copy.deepcopy(SERVE_BASE)
-        current["shard_scaling"][1]["equal"] = False
-        _, regressions = compare_serve(SERVE_BASE, current)
-        assert any("diverged" in msg for msg in regressions)
-
-    def test_flags_cache_hit_ratio_drop(self):
-        current = copy.deepcopy(SERVE_BASE)
-        current["cache"]["hit_ratio"] = 0.25
-        _, regressions = compare_serve(SERVE_BASE, current)
-        assert len(regressions) == 1
-        assert regressions[0].startswith("cache.hit_ratio")
-
-    def test_one_core_run_skips_speedup_gate(self, capsys):
-        # A single-core runner cannot demonstrate parallel speedup; the
-        # gate is skipped loudly instead of failing the build.
-        current = copy.deepcopy(SERVE_BASE)
-        current["meta"] = {"cpu_count": 1}
-        current["shard_scaling"][2]["speedup_vs_1"] = 0.4  # would regress
-        rows, regressions = compare_serve(SERVE_BASE, current)
-        assert regressions == []
-        skipped = [r for r in rows if "SKIPPED" in str(r.get("change"))]
-        assert len(skipped) == 2  # K=2 and K=4
-        assert "cpu_count=1" in capsys.readouterr().out
-
-    def test_one_core_run_still_fails_on_equal_false(self):
-        # The skip covers perf only — a correctness divergence must fail
-        # regardless of the machine the bench ran on.
-        current = copy.deepcopy(SERVE_BASE)
-        current["meta"] = {"cpu_count": 1}
-        current["shard_scaling"][1]["equal"] = False
-        _, regressions = compare_serve(SERVE_BASE, current)
-        assert any("diverged" in msg for msg in regressions)
-
-    def test_main_autodetects_serve(self, tmp_path, capsys):
-        a = _write(tmp_path, "a.json", SERVE_BASE)
-        b = _write(tmp_path, "b.json", SERVE_BASE)
-        assert main([a, b]) == 0
-        assert "Serve scaling" in capsys.readouterr().out
-        current = copy.deepcopy(SERVE_BASE)
-        current["shard_scaling"][2]["speedup_vs_1"] = 0.5
-        c = _write(tmp_path, "c.json", current)
-        assert main([a, c]) == 1
-        assert "REGRESSION speedup_vs_1[K=4]" in capsys.readouterr().err
-
-    def test_kind_mismatch_is_exit_2(self, tmp_path, capsys):
-        a = _write(tmp_path, "a.json", BASE)
-        b = _write(tmp_path, "b.json", SERVE_BASE)
-        assert main([a, b]) == 2
-        assert "kind mismatch" in capsys.readouterr().err
-
-    def test_committed_serve_baseline_self_compares_clean(self):
-        from pathlib import Path
-
-        baseline = str(
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "results" / "BENCH_serve_smoke_baseline.json"
-        )
-        assert main([baseline, baseline, "--strict"]) == 0
-
-
 class TestLoadBench:
     def test_rejects_wrong_shape(self, tmp_path):
         path = _write(tmp_path, "bad.json", {"micro": []})
         with pytest.raises(ValueError, match="end_to_end"):
             load_bench(path)
-
-    def test_kind_detection(self):
-        assert bench_kind(BASE) == "kernels"
-        assert bench_kind(SERVE_BASE) == "serve"
 
 
 class TestMainExitCodes:
@@ -195,30 +84,12 @@ class TestMainExitCodes:
         assert main([a, b]) == 1
         assert "REGRESSION SSD" in capsys.readouterr().err
 
-    def test_threshold_flag(self, tmp_path):
-        current = copy.deepcopy(BASE)
-        current["end_to_end"][0]["kernel_time"] = 1.1  # +10%
-        a = _write(tmp_path, "a.json", BASE)
-        b = _write(tmp_path, "b.json", current)
-        assert main([a, b]) == 0
-        assert main([a, b, "--threshold", "0.05"]) == 1
-
-    def test_scale_mismatch_informational(self, tmp_path, capsys):
-        current = copy.deepcopy(BASE)
-        current["scale"] = "large"
-        current["end_to_end"][0]["kernel_time"] = 1.5  # regression, but...
-        a = _write(tmp_path, "a.json", BASE)
-        b = _write(tmp_path, "b.json", current)
-        assert main([a, b]) == 0  # ...ignored across scales
-        err = capsys.readouterr().err
-        assert "scale mismatch" in err and "ignored" in err
-
     def test_scale_mismatch_strict_is_exit_2(self, tmp_path, capsys):
         current = copy.deepcopy(BASE)
         current["scale"] = "large"
         a = _write(tmp_path, "a.json", BASE)
         b = _write(tmp_path, "b.json", current)
-        assert main([a, b, "--strict"]) == 2
+        assert main([a, b]) == 2
         assert "scale mismatch" in capsys.readouterr().err
 
     def test_exit_2_on_missing_or_invalid_file(self, tmp_path, capsys):
@@ -236,12 +107,13 @@ class TestMainExitCodes:
             Path(__file__).resolve().parent.parent
             / "benchmarks" / "results" / "BENCH_smoke_baseline.json"
         )
-        assert main([baseline, baseline, "--strict"]) == 0
+        assert main([baseline, baseline]) == 0
 
 
 class TestRetiredFlags:
-    """The bench harnesses write only their ``--out`` JSON: no verdict
-    files, no trajectory store.  The flags that fed them are usage errors."""
+    """The bench harness writes only its ``--out`` JSON: no verdict files, no
+    trajectory store.  The flags that fed them are usage errors, and so are
+    the comparison knobs that had one value in use."""
 
     def test_verdict_out_is_a_usage_error(self, tmp_path):
         a = _write(tmp_path, "a.json", BASE)
@@ -249,7 +121,16 @@ class TestRetiredFlags:
             main([a, a, "--verdict-out", str(tmp_path / "v.json")])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("module", ["bench_kernels", "bench_serve"])
+    @pytest.mark.parametrize("argv", [
+        ["--strict"], ["--metric", "ratio"], ["--threshold", "0.15"],
+    ], ids=["strict", "metric", "threshold"])
+    def test_comparison_knobs_are_usage_errors(self, tmp_path, argv):
+        a = _write(tmp_path, "a.json", BASE)
+        with pytest.raises(SystemExit) as exc:
+            main([a, a, *argv])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("module", ["bench_kernels"])
     @pytest.mark.parametrize("argv", [
         ["--trajectory", "x.jsonl"], ["--no-trajectory"],
     ], ids=["trajectory", "no-trajectory"])
@@ -303,3 +184,78 @@ class TestPairedOverhead:
         )
         assert order == ["a", "b", "b", "a", "a", "b"]
         assert times == {"a": [1.0] * 3, "b": [2.0] * 3}
+
+
+def _replay(times):
+    """A timed callable that returns ``times`` in order, one per call."""
+    return iter(times).__next__
+
+
+class TestOverheadGate:
+    """``bench_kernels.overhead_gate`` on injected deterministic timings."""
+
+    SPEED = TestPairedOverhead.SPEED
+    NOISE = [0.0, 0.004, -0.006, 0.008, -0.002, 0.006, -0.008, 0.002]
+
+    def _pair(self, share: float, spread: list[float]):
+        base = [0.040 * self.SPEED[i % len(self.SPEED)] for i in range(201)]
+        other = [
+            t * (1.0 + share + spread[i % len(spread)]) for i, t in enumerate(base)
+        ]
+        return base, other
+
+    def test_passes_at_one_percent_with_noise(self):
+        from benchmarks.bench_kernels import overhead_gate
+
+        base, other = self._pair(0.01, self.NOISE)
+        verdict, times = overhead_gate("planted", _replay(base), _replay(other))
+        assert verdict["overhead"] == pytest.approx(0.01, abs=0.005)
+        assert verdict["rounds"] == 21  # the band is already narrow
+        assert times["base"] == base[:21] and times["other"] == other[:21]
+
+    def test_fails_at_twenty_five_percent(self):
+        from benchmarks.bench_kernels import overhead_gate
+
+        base, other = self._pair(0.25, self.NOISE)
+        with pytest.raises(AssertionError, match="planted overhead 25"):
+            overhead_gate("planted", _replay(base), _replay(other))
+
+    def test_widens_rounds_while_the_band_exceeds_the_budget(self):
+        from benchmarks.bench_kernels import (
+            OVERHEAD_BUDGET,
+            overhead_gate,
+            paired_overhead,
+        )
+
+        base, other = self._pair(0.0, [-0.08, 0.08, -0.04, 0.04, 0.0])
+        verdict, _ = overhead_gate("noisy", _replay(base), _replay(other))
+        rounds = verdict["rounds"]
+        assert 21 < rounds < 201 and (rounds - 21) % 20 == 0
+        assert verdict["band"] <= OVERHEAD_BUDGET
+        # It stopped at the first batch of rounds that narrowed the band.
+        earlier = paired_overhead(base[: rounds - 20], other[: rounds - 20])
+        assert earlier["band"] > OVERHEAD_BUDGET
+
+    def test_widening_stops_at_the_round_cap(self):
+        from benchmarks.bench_kernels import OVERHEAD_BUDGET, overhead_gate
+
+        base, other = self._pair(0.0, [-0.5, 0.5, -0.25, 0.25, 0.0])
+        verdict, _ = overhead_gate("noisy", _replay(base), _replay(other))
+        assert verdict["rounds"] == 201 and verdict["band"] > OVERHEAD_BUDGET
+
+    def test_one_slow_round_does_not_decide(self):
+        from benchmarks.bench_kernels import overhead_gate
+
+        base, other = self._pair(0.0, self.NOISE)
+        other[3] *= 5
+        verdict, _ = overhead_gate("one-slow", _replay(base), _replay(other))
+        assert verdict["overhead"] == pytest.approx(0.0, abs=0.005)
+
+    def test_extra_runs_ride_along_in_the_first_rounds_only(self):
+        from benchmarks.bench_kernels import overhead_gate
+
+        base, other = self._pair(0.0, [-0.08, 0.08, -0.04, 0.04, 0.0])
+        verdict, times = overhead_gate(
+            "noisy", _replay(base), _replay(other), extra={"enabled": lambda: 1.0}
+        )
+        assert verdict["rounds"] > 21 and times["enabled"] == [1.0] * 21

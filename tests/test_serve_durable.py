@@ -193,7 +193,6 @@ class TestSnapshot:
             for s in snap.searches:
                 for o in s.live_objects():
                     assert not o.points.flags.writeable
-            assert snap.warm() > 0
         finally:
             m.close()
 

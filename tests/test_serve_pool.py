@@ -264,7 +264,7 @@ class TestPayloadSize:
             name = pool._shard_segments[0][-1]
             task = (
                 0, pool._pool_epoch, name, query, make_operator("SSD"),
-                3, "euclidean", True, None, None,
+                3, "euclidean", None, None,
             )
             return len(pickle.dumps(task))
         finally:
@@ -346,7 +346,7 @@ class TestLifecycle:
             assert segment_exists(pre_name)
             task = (
                 0, pre_epoch, pre_name, query, make_operator("SSD"),
-                1, "euclidean", True, None, None,
+                1, "euclidean", None, None,
             )
             payload = pool._pool_exec.submit(pool_run_one, task).result(60)
             assert payload[0] == "ok"
